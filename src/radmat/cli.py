@@ -73,14 +73,6 @@ def _fusion_config(path) -> FusionConfig:
     return FusionConfig.from_document(docio.read_document(path))
 
 
-def _detect(cube, gate, threshold_db):
-    from .spectral import detect_target, range_angle, range_doppler
-
-    rd = range_doppler(cube)
-    ra = range_angle(cube)
-    return rd, ra, detect_target(rd, ra, gate, threshold_db)
-
-
 def cmd_simulate(args) -> int:
     targets, config, geometry, noise, seed = cube_io.load_scene(args.scene)
     if args.seed is not None:
@@ -102,15 +94,9 @@ def cmd_calibrate(args) -> int:
         noise_power = calibration.estimate_noise_power(cube_io.read_cube(args.noise_cube))
     else:
         raise CalibrationError("provide --noise-power or --noise-cube")
-    gate = (args.gate[0], args.gate[1])
-    _, _, sphere_det = _detect(sphere_cube, gate, args.threshold_db)
-    profile = calibration.calibrate_sphere(
-        sphere_det, sphere_cube.geometry, sphere_cube.config, args.sphere_diameter, noise_power
-    )
-    plate_cube = cube_io.read_cube(args.plate)
-    _, plate_ra, plate_det = _detect(plate_cube, gate, args.threshold_db)
-    profile = calibration.calibrate_plate(
-        plate_det, plate_ra, plate_cube.geometry, plate_cube.config, profile
+    profile = pipeline.calibrate_from_cubes(
+        sphere_cube, cube_io.read_cube(args.plate), args.sphere_diameter, noise_power,
+        (args.gate[0], args.gate[1]), args.threshold_db,
     )
     docio.write_document(args.output, profile.to_document())
     print(f"wrote {args.output}: K={profile.system_constant_k:.6g}")

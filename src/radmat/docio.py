@@ -22,10 +22,7 @@ def write_document(path, document: dict) -> None:
 
 
 def read_document(path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .dielectric import EmFeatureVector
 from .docio import read_document
 from .errors import DocumentError, DomainError
 
@@ -30,7 +29,6 @@ class MaterialRecord:
     epsilon_high: float
     source: str = ""
     itu_coeffs: tuple | None = None  # (a, b)
-    reference_features: EmFeatureVector | None = None
 
     def __post_init__(self):
         if self.epsilon_low < 1.0:

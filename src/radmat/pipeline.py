@@ -6,7 +6,7 @@ library users and tests can drive the identical chain.
 
 from dataclasses import dataclass
 
-from .calibration import CalibrationProfile
+from .calibration import CalibrationProfile, calibrate_plate, calibrate_sphere
 from .dielectric import EmFeatureVector, extract_features
 from .errors import CalibrationError
 from .fusion import FusionConfig, FusionDecision, RadarContext, VisualContext, decide
@@ -36,6 +36,32 @@ class ExtractionResult:
     ra_map: RangeAngleMap
 
 
+def detect(
+    cube: RadarCube, gate_m, threshold_db: float = DEFAULT_THRESHOLD_DB
+) -> tuple[RangeDopplerMap, RangeAngleMap, TargetDetection]:
+    """Both maps of one frame and the strongest target inside the gate."""
+    rd_map = range_doppler(cube)
+    ra_map = range_angle(cube)
+    return rd_map, ra_map, detect_target(rd_map, ra_map, gate_m, threshold_db)
+
+
+def calibrate_from_cubes(
+    sphere_cube: RadarCube,
+    plate_cube: RadarCube,
+    sphere_diameter_m: float,
+    noise_power_w: float,
+    gate_m,
+    threshold_db: float = DEFAULT_THRESHOLD_DB,
+) -> CalibrationProfile:
+    """Sphere then metal plate calibration, each from one frame."""
+    _, _, sphere_det = detect(sphere_cube, gate_m, threshold_db)
+    profile = calibrate_sphere(
+        sphere_det, sphere_cube.geometry, sphere_cube.config, sphere_diameter_m, noise_power_w
+    )
+    _, plate_ra, plate_det = detect(plate_cube, gate_m, threshold_db)
+    return calibrate_plate(plate_det, plate_ra, plate_cube.geometry, plate_cube.config, profile)
+
+
 def extract_from_cube(
     cube: RadarCube,
     profile: CalibrationProfile,
@@ -45,9 +71,7 @@ def extract_from_cube(
     """Run the full radar-side chain on one frame."""
     if not profile.is_complete:
         raise CalibrationError("profile lacks the metal plate reference")
-    rd_map = range_doppler(cube)
-    ra_map = range_angle(cube)
-    detection = detect_target(rd_map, ra_map, gate_m, threshold_db)
+    rd_map, ra_map, detection = detect(cube, gate_m, threshold_db)
     focused = focus(detection, profile, cube.geometry, cube.config)
     result = synthesize(
         focused, cube.geometry, detection_voxel(detection), profile.noise_power_w

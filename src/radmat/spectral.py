@@ -21,6 +21,12 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def _range_axis(cfg) -> tuple[int, float]:
+    """Zero-padded range FFT size and the range width of one padded bin."""
+    n_fft_r = _next_pow2(cfg.samples_per_chirp)
+    return n_fft_r, SPEED_OF_LIGHT * cfg.sample_rate_hz / (2.0 * cfg.slope_hz_per_s * n_fft_r)
+
+
 @dataclass(frozen=True)
 class RangeDopplerMap:
     """Antenna-accumulated magnitude map plus per-antenna complex spectra."""
@@ -98,13 +104,12 @@ def range_doppler(cube: RadarCube) -> RangeDopplerMap:
     cfg = cube.config
     if cfg.chirps_per_frame < 2:
         raise DomainError("range-Doppler processing needs at least 2 chirps")
-    n_fft_r = _next_pow2(cfg.samples_per_chirp)
+    n_fft_r, range_bin_m = _range_axis(cfg)
     n_fft_d = _next_pow2(cfg.chirps_per_frame)
     spectra = np.fft.fft(cube.samples, n=n_fft_r, axis=0)
     spectra = np.fft.fft(spectra, n=n_fft_d, axis=1)
     spectra = np.fft.fftshift(spectra, axes=1)
     magnitudes = np.abs(spectra).sum(axis=2)
-    range_bin_m = SPEED_OF_LIGHT * cfg.sample_rate_hz / (2.0 * cfg.slope_hz_per_s * n_fft_r)
     velocity_bin_m_s = cfg.wavelength_m / (2.0 * n_fft_d * cfg.chirp_duration_s)
     return RangeDopplerMap(magnitudes, range_bin_m, velocity_bin_m_s, spectra)
 
@@ -125,11 +130,11 @@ def range_angle(cube: RadarCube, angle_grid_rad=None) -> RangeAngleMap:
     if grid.size == 0:
         raise DomainError("angle grid must not be empty")
     cfg = cube.config
-    n_fft_r = _next_pow2(cfg.samples_per_chirp)
-    spectra = np.fft.fft(cube.samples, n=n_fft_r, axis=0).mean(axis=1)  # (R, N)
+    n_fft_r, range_bin_m = _range_axis(cfg)
+    chirp_mean = cube.samples.mean(axis=1)  # the FFT is linear: average chirps first
+    spectra = np.fft.fft(chirp_mean, n=n_fft_r, axis=0)  # (R, N)
     weights = steering_matrix(cube.geometry, cfg.wavelength_m, grid)  # (N, G)
     magnitudes = np.abs(spectra @ weights)
-    range_bin_m = SPEED_OF_LIGHT * cfg.sample_rate_hz / (2.0 * cfg.slope_hz_per_s * n_fft_r)
     return RangeAngleMap(magnitudes, grid, range_bin_m)
 
 
@@ -137,14 +142,11 @@ def half_power_beamwidth_rad(geometry: ArrayGeometry, wavelength_m: float) -> fl
     """Numeric HPBW of the boresight beam under two-way steering phases."""
     grid = np.radians(np.linspace(-90.0, 90.0, 18001))
     pattern = np.abs(steering_matrix(geometry, wavelength_m, grid).sum(axis=0))
-    level = pattern.max() / np.sqrt(2.0)
-    above = np.where(pattern >= level)[0]
-    center = np.argmax(pattern)
-    lo = hi = center
-    while lo - 1 in above and lo - 1 >= 0:
-        lo -= 1
-    while hi + 1 in above and hi + 1 < grid.size:
-        hi += 1
+    center = int(np.argmax(pattern))
+    below = np.flatnonzero(pattern < pattern.max() / np.sqrt(2.0))
+    left, right = below[below < center], below[below > center]
+    lo = left[-1] + 1 if left.size else 0
+    hi = right[0] - 1 if right.size else grid.size - 1
     return float(grid[hi] - grid[lo])
 
 

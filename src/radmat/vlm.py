@@ -14,14 +14,14 @@ variable named in the provider config.
 """
 
 import base64
+import http.client
 import json
 import math
 import os
-import threading
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .docio import read_document
 from .errors import DocumentError, DomainError, ProviderError
@@ -49,7 +49,6 @@ class ProviderConfig:
     auth_token_env_name: str | None = None
     timeout_ms: int = 10000
     fixture_path: str | None = None
-    max_in_flight: int = 4
 
     def __post_init__(self):
         if self.mode not in ("mock", "http"):
@@ -58,8 +57,8 @@ class ProviderConfig:
             raise DomainError("http mode requires endpoint_url")
         if self.mode == "mock" and not self.fixture_path:
             raise DomainError("mock mode requires fixture_path")
-        if self.timeout_ms <= 0 or self.max_in_flight < 1:
-            raise DomainError("timeout and in-flight cap must be positive")
+        if self.timeout_ms <= 0:
+            raise DomainError("timeout must be positive")
 
     @classmethod
     def from_document(cls, doc: dict) -> "ProviderConfig":
@@ -70,7 +69,6 @@ class ProviderConfig:
                 auth_token_env_name=doc.get("auth_token_env_name"),
                 timeout_ms=int(doc.get("timeout_ms", 10000)),
                 fixture_path=doc.get("fixture_path"),
-                max_in_flight=int(doc.get("max_in_flight", 4)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"invalid provider config: {exc}") from exc
@@ -156,12 +154,10 @@ class MockProvider:
 
 
 class HttpProvider:
-    """Single-POST JSON adapter with a hard timeout and an in-flight cap."""
+    """Single-POST JSON adapter with a hard timeout."""
 
-    def __init__(self, config: ProviderConfig, session=None):
+    def __init__(self, config: ProviderConfig):
         self.config = config
-        self._session = session or requests.Session()
-        self._slots = threading.Semaphore(config.max_in_flight)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -182,24 +178,20 @@ class HttpProvider:
             "prompt": query.prompt_text,
             "image_base64": base64.b64encode(image_bytes).decode("ascii"),
         }
-        with self._slots:
-            try:
-                response = self._session.post(
-                    self.config.endpoint_url,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.config.timeout_ms / 1000.0,
-                )
-            except requests.Timeout as exc:
-                raise ProviderError(
-                    f"provider timed out after {self.config.timeout_ms} ms"
-                ) from exc
-            except requests.RequestException as exc:
-                raise ProviderError(f"transport failure: {exc}") from exc
-        if not 200 <= response.status_code < 300:
-            raise ProviderError(f"provider returned HTTP {response.status_code}")
+        data = json.dumps(payload).encode("utf-8")
+        request = urllib.request.Request(self.config.endpoint_url, data, self._headers())
         try:
-            body = response.json()
+            with urllib.request.urlopen(request, timeout=self.config.timeout_ms / 1000.0) as response:
+                raw = response.read()
+        except urllib.error.HTTPError as exc:
+            raise ProviderError(f"provider returned HTTP {exc.code}") from exc
+        except (OSError, http.client.HTTPException) as exc:  # URLError, TimeoutError too
+            reason = getattr(exc, "reason", exc)
+            if isinstance(reason, TimeoutError):
+                raise ProviderError(f"provider timed out after {self.config.timeout_ms} ms") from exc
+            raise ProviderError(f"transport failure: {reason}") from exc
+        try:
+            body = json.loads(raw)
         except ValueError as exc:
             raise ProviderError("provider returned a non-JSON body") from exc
         try:
@@ -213,10 +205,7 @@ class HttpProvider:
         )
 
 
-def make_provider(config: ProviderConfig):
-    return MockProvider(config) if config.mode == "mock" else HttpProvider(config)
-
-
 def propose(query: VisualQuery, config: ProviderConfig) -> VisualContext:
-    """One-shot convenience wrapper around make_provider()."""
-    return make_provider(config).propose(query)
+    """One-shot proposal from the provider the config names."""
+    provider = MockProvider(config) if config.mode == "mock" else HttpProvider(config)
+    return provider.propose(query)

@@ -11,13 +11,11 @@ from radmat import (
     ArrayGeometry,
     ChirpConfig,
     SceneTarget,
-    calibrate_plate,
-    calibrate_sphere,
     default_geometry,
     synthesize_frame,
 )
 from radmat.calibration import estimate_noise_power
-from radmat.spectral import detect_target, range_angle, range_doppler
+from radmat.pipeline import calibrate_from_cubes
 
 SPHERE_DIAMETER_M = 0.063
 FIXTURE_NOISE_W = 1e-2
@@ -84,38 +82,27 @@ def noise_power(frame_factory) -> float:
     return estimate_noise_power(frame_factory([], seed=99))
 
 
-def detect(cube, gate=GATE_M):
-    rd = range_doppler(cube)
-    ra = range_angle(cube)
-    return rd, ra, detect_target(rd, ra, gate)
-
-
-def build_profile(config, geometry, position, frame_factory, noise_power, cube_noise_w):
+def build_profile(position, frame_factory, noise_power, cube_noise_w):
     sphere_cube = frame_factory(
         [make_sphere(position)], seed=11, noise_power_w=cube_noise_w
     )
-    _, _, sphere_det = detect(sphere_cube)
-    partial = calibrate_sphere(sphere_det, geometry, config, SPHERE_DIAMETER_M, noise_power)
     plate_cube = frame_factory(
         [make_plate(position, METAL_EPSILON, label="metal reference plate")],
         seed=12,
         noise_power_w=cube_noise_w,
     )
-    _, plate_ra, plate_det = detect(plate_cube)
-    return calibrate_plate(plate_det, plate_ra, geometry, config, partial)
+    return calibrate_from_cubes(
+        sphere_cube, plate_cube, SPHERE_DIAMETER_M, noise_power, GATE_M
+    )
 
 
 @pytest.fixture(scope="session")
-def profile(config, geometry, fixture_position, frame_factory, noise_power):
+def profile(fixture_position, frame_factory, noise_power):
     """Sphere + metal plate calibration against the shared fixture scene."""
-    return build_profile(
-        config, geometry, fixture_position, frame_factory, noise_power, FIXTURE_NOISE_W
-    )
+    return build_profile(fixture_position, frame_factory, noise_power, FIXTURE_NOISE_W)
 
 
 @pytest.fixture(scope="session")
-def clean_profile(config, geometry, fixture_position, frame_factory, noise_power):
+def clean_profile(fixture_position, frame_factory, noise_power):
     """Calibration from noise-free cubes, for exact phase-identity checks."""
-    return build_profile(
-        config, geometry, fixture_position, frame_factory, noise_power, 0.0
-    )
+    return build_profile(fixture_position, frame_factory, noise_power, 0.0)

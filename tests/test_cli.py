@@ -10,8 +10,10 @@ from radmat.cli import (
     EXIT_SCENE,
     main,
 )
-from radmat.cube_io import write_cube
-from radmat.docio import read_document, write_document
+from radmat.calibration import estimate_noise_power
+from radmat.cube_io import read_cube, write_cube
+from radmat.docio import canonical_bytes, read_document, write_document
+from radmat.pipeline import calibrate_from_cubes
 from conftest import FIXTURE_NOISE_W, make_plate
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -113,6 +115,12 @@ class TestCalibrateCommand:
         doc = read_document(out)
         assert doc["system_constant_k"] > 0
         assert doc["metal_plate_rho"] > 0
+        # the command is a thin wrapper over the library's calibrate flow
+        library = calibrate_from_cubes(
+            read_cube(sphere), read_cube(plate), 0.063,
+            estimate_noise_power(read_cube(empty)), (0.1, 0.6),
+        )
+        assert out.read_bytes() == canonical_bytes(library.to_document())
 
 
 class TestExtract:

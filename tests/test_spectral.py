@@ -11,7 +11,7 @@ from radmat import (
     range_doppler,
     synthesize_frame,
 )
-from radmat.spectral import half_power_beamwidth_rad
+from radmat.spectral import half_power_beamwidth_rad, steering_matrix
 from conftest import GATE_M, make_plate, padded_range_bin_m
 
 
@@ -110,6 +110,22 @@ class TestRangeAngle:
         cube = synthesize_frame([], config, geometry, 0.0, 1)
         with pytest.raises(DomainError):
             range_angle(cube, angle_grid_rad=np.array([]))
+
+    @pytest.mark.parametrize("scene", ["plate", "empty"])
+    def test_matches_chirp_averaged_full_cube_fft(self, scene, frame_factory, fixture_position):
+        # reference: the range FFT of every chirp, averaged afterwards
+        targets = [make_plate(fixture_position, 4.0)] if scene == "plate" else []
+        cube = frame_factory(targets, seed=21)
+        ra = range_angle(cube)
+        n_fft = 1 << (cube.config.samples_per_chirp - 1).bit_length()
+        spectra = np.fft.fft(cube.samples, n_fft, axis=0).mean(axis=1)
+        weights = steering_matrix(cube.geometry, cube.config.wavelength_m, ra.angle_grid_rad)
+        reference = np.abs(spectra @ weights)
+        assert ra.magnitudes.shape == reference.shape
+        assert np.max(np.abs(ra.magnitudes - reference)) <= 1e-12 * np.max(reference)
+        np.testing.assert_array_equal(
+            np.argmax(ra.magnitudes, axis=1), np.argmax(reference, axis=1)
+        )
 
     def test_true_angle_beats_angles_two_hpbw_away(self, config, geometry):
         hpbw = half_power_beamwidth_rad(geometry, config.wavelength_m)

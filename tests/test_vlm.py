@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -178,6 +179,24 @@ class TestHttpProvider:
             propose(VisualQuery(image_file), cfg)
         assert time.monotonic() - started < 5.0
         _Handler.behaviour = "ok"
+
+    def test_malformed_status_line_is_transport_failure(self, image_file):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_garbage():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"garbage\r\n\r\n")
+
+        thread = threading.Thread(target=answer_garbage, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        cfg = ProviderConfig(mode="http", endpoint_url=f"http://127.0.0.1:{port}/infer")
+        with pytest.raises(ProviderError, match="transport"):
+            propose(VisualQuery(image_file), cfg)
+        thread.join(timeout=5.0)
+        listener.close()
 
     def test_unreachable_endpoint(self, image_file):
         cfg = ProviderConfig(

@@ -17,6 +17,7 @@ Exit codes partition the error classes:
 """
 
 import argparse
+import os
 import sys
 
 from . import calibration, cube_io, docio, knowledge, pipeline, signal_model, vlm
@@ -111,7 +112,7 @@ def cmd_extract(args) -> int:
     )
     docio.write_document(args.output, result.features.to_document())
     if args.debug:
-        base = args.output.rsplit(".", 1)[0]
+        base = os.path.splitext(args.output)[0]
         docio.write_document(f"{base}.rd_map.json", result.rd_map.to_document())
         docio.write_document(f"{base}.ra_map.json", result.ra_map.to_document())
         docio.write_document(f"{base}.synthesis.json", result.synthesis.to_document())
@@ -170,7 +171,7 @@ def cmd_pipeline(args) -> int:
     )
     docio.write_document(args.output, outcome.to_document())
     if args.debug:
-        base = args.output.rsplit(".", 1)[0]
+        base = os.path.splitext(args.output)[0]
         docio.write_document(f"{base}.features.json", extraction.features.to_document())
         docio.write_document(f"{base}.synthesis.json", extraction.synthesis.to_document())
         docio.write_document(f"{base}.prca.json", extraction.region.to_document())

@@ -34,7 +34,9 @@ class RangeDopplerMap:
     magnitudes: np.ndarray  # [range_bins, doppler_bins]
     range_bin_m: float
     velocity_bin_m_s: float
-    per_antenna: np.ndarray  # [range_bins, doppler_bins, antennas], complex
+    # [range_bins, doppler_bins, antennas], complex: a transposed view over
+    # antenna-major [antennas, range_bins, doppler_bins] memory
+    per_antenna: np.ndarray
 
     def __post_init__(self):
         if np.any(self.magnitudes < 0) or not np.all(np.isfinite(self.magnitudes)):
@@ -100,18 +102,32 @@ class TargetDetection:
 
 
 def range_doppler(cube: RadarCube) -> RangeDopplerMap:
-    """2D FFT over fast time then chirps, magnitudes summed over antennas."""
+    """2D FFT over fast time then chirps, magnitudes summed over antennas.
+
+    The FFTs run one antenna at a time along contiguous axes: the range
+    FFT along the last axis of the antenna's contiguous [chirp, fast]
+    block, then the Doppler FFT along the last axis of the contiguous
+    [range, chirp] transpose of the result.  Each 1-D transform sees the
+    same samples as a whole-cube FFT along axis 0 and then axis 1 would,
+    so the per-antenna spectra are bit-identical to it; only the order in
+    which the antenna magnitudes are summed differs.
+    """
     cfg = cube.config
     if cfg.chirps_per_frame < 2:
         raise DomainError("range-Doppler processing needs at least 2 chirps")
     n_fft_r, range_bin_m = _range_axis(cfg)
     n_fft_d = _next_pow2(cfg.chirps_per_frame)
-    spectra = np.fft.fft(cube.samples, n=n_fft_r, axis=0)
-    spectra = np.fft.fft(spectra, n=n_fft_d, axis=1)
-    spectra = np.fft.fftshift(spectra, axes=1)
-    magnitudes = np.abs(spectra).sum(axis=2)
+    half = n_fft_d // 2  # n_fft_d is even, so fftshift swaps two equal halves
+    spectra = np.empty((cube.samples.shape[2], n_fft_r, n_fft_d), dtype=complex)
+    for a, spectrum in enumerate(spectra):  # spectrum: [range, doppler] of antenna a
+        chirps = np.ascontiguousarray(cube.samples[:, :, a].T)  # [chirp, fast]
+        by_range = np.ascontiguousarray(np.fft.fft(chirps, n=n_fft_r, axis=1).T)
+        doppler = np.fft.fft(by_range, n=n_fft_d, axis=1)
+        spectrum[:, :half] = doppler[:, half:]
+        spectrum[:, half:] = doppler[:, :half]
+    magnitudes = np.abs(spectra).sum(axis=0)
     velocity_bin_m_s = cfg.wavelength_m / (2.0 * n_fft_d * cfg.chirp_duration_s)
-    return RangeDopplerMap(magnitudes, range_bin_m, velocity_bin_m_s, spectra)
+    return RangeDopplerMap(magnitudes, range_bin_m, velocity_bin_m_s, spectra.transpose(1, 2, 0))
 
 
 def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad) -> np.ndarray:

@@ -168,6 +168,24 @@ class TestExtract:
         for suffix in ("rd_map", "ra_map", "synthesis", "prca"):
             assert (tmp_path / f"features.{suffix}.json").exists()
 
+    def test_debug_base_keeps_dotted_directory(
+        self, tmp_path, fixture_position, frame_factory, profile_path
+    ):
+        cube_path = tmp_path / "plate.rcub"
+        write_cube(cube_path, frame_factory([make_plate(fixture_position, 9.0)], seed=63))
+        run_dir = tmp_path / "run.v2"
+        run_dir.mkdir()
+        code = main(
+            ["extract", str(cube_path), "--profile", profile_path,
+             "--gate", "0.1", "0.6", "-o", str(run_dir / "features"), "--debug"]
+        )
+        assert code == EXIT_OK
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "features", "features.prca.json", "features.ra_map.json",
+            "features.rd_map.json", "features.synthesis.json",
+        ]
+        assert not list(tmp_path.glob("run.*.json"))
+
 
 class TestIdentify:
     def test_plastic_reading(self, tmp_path, fixture_position, frame_factory, profile_path):
@@ -284,6 +302,24 @@ class TestPipeline:
         first_bytes = first.read_bytes()
         _, second = self._run(tmp_path, config, profile_path, provider_path, scene, "a5_cup")
         assert second.read_bytes() == first_bytes
+
+    def test_debug_base_keeps_dotted_directory(
+        self, tmp_path, config, fixture_position, profile_path, provider_path
+    ):
+        scene = _write_scene(tmp_path, config, fixture_position, 2.87)
+        run_dir = tmp_path / "run.v2"
+        run_dir.mkdir()
+        code = main(
+            ["pipeline", "--scene", scene, "--profile", profile_path,
+             "--provider", provider_path, "--image", "a5_cup",
+             "--gate", "0.1", "0.6", "-o", str(run_dir / "decision"), "--debug"]
+        )
+        assert code == EXIT_OK
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "decision", "decision.features.json", "decision.prca.json",
+            "decision.synthesis.json",
+        ]
+        assert not list(tmp_path.glob("run.*.json"))
 
     def test_cube_and_scene_mutually_exclusive(self, tmp_path, profile_path, provider_path):
         code = main(

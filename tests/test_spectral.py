@@ -1,18 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
 from radmat import (
     ArrayGeometry,
+    ChirpConfig,
     DomainError,
     NoTargetError,
     RadarCube,
+    default_geometry,
     detect_target,
     range_angle,
     range_doppler,
     synthesize_frame,
 )
+from radmat.calibration import estimate_noise_power
+from radmat.cube_io import read_cube, write_cube
 from radmat.spectral import half_power_beamwidth_rad, steering_matrix
-from conftest import GATE_M, make_plate, padded_range_bin_m
+from conftest import FIXTURE_NOISE_W, GATE_M, make_plate, padded_range_bin_m
 
 
 def _single_target_cube(config, geometry, range_m, angle_rad=0.0, velocity=0.0, seed=3):
@@ -28,7 +34,53 @@ def _single_target_cube(config, geometry, range_m, angle_rad=0.0, velocity=0.0, 
     return synthesize_frame([target], config, geometry, 0.0, seed)
 
 
+def _whole_cube_range_doppler(samples):
+    """Reference: FFT the whole cube along fast time, then chirps, then shift."""
+    n_fft_r = 1 << (samples.shape[0] - 1).bit_length()
+    n_fft_d = 1 << (samples.shape[1] - 1).bit_length()
+    spectra = np.fft.fft(samples, n=n_fft_r, axis=0)
+    spectra = np.fft.fft(spectra, n=n_fft_d, axis=1)
+    spectra = np.fft.fftshift(spectra, axes=1)
+    return spectra, np.abs(spectra).sum(axis=2)
+
+
 class TestRangeDoppler:
+    @pytest.mark.parametrize(
+        "shape, via_file",
+        [
+            pytest.param((600, 64, 8), False, id="600x64x8"),
+            pytest.param((256, 128, 12), False, id="256x128x12"),
+            pytest.param((513, 100, 5), False, id="513x100x5-padded"),
+            pytest.param((600, 2, 8), False, id="600x2x8-min-chirps"),
+            pytest.param((600, 64, 8), True, id="600x64x8-rcub"),
+        ],
+    )
+    def test_matches_whole_cube_fft(self, shape, via_file, tmp_path):
+        n_fast, n_chirp, n_ant = shape
+        config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
+        geometry = default_geometry(config, element_count=n_ant)
+        target = make_plate([0.05, 0.0, 0.3], 4.0)
+        cube = synthesize_frame([target], config, geometry, FIXTURE_NOISE_W, 5)
+        if via_file:
+            write_cube(tmp_path / "frame.rcub", cube)
+            cube = read_cube(tmp_path / "frame.rcub")
+            assert cube.samples.transpose(2, 1, 0).flags.c_contiguous  # antenna-major
+        spectra, magnitudes = _whole_cube_range_doppler(cube.samples)
+        rd = range_doppler(cube)
+        assert rd.per_antenna.shape == spectra.shape
+        np.testing.assert_array_equal(rd.per_antenna, spectra)
+        # only the order of the sum over antennas differs: with 8 or more
+        # antennas numpy's pairwise sum rounds differently, so single cells
+        # and the median (600x2x8 here) can move by an ULP
+        assert rd.magnitudes.shape == magnitudes.shape
+        assert np.max(np.abs(rd.magnitudes - magnitudes)) <= 1e-14 * np.max(magnitudes)
+        assert np.argmax(rd.magnitudes) == np.argmax(magnitudes)
+        assert abs(np.median(rd.magnitudes) - np.median(magnitudes)) <= 1e-14 * np.median(
+            magnitudes
+        )
+        noise = float(np.median(np.abs(spectra) ** 2)) / math.log(2.0)
+        assert estimate_noise_power(cube) == noise
+
     def test_zero_cube_zero_map(self, config, geometry):
         cube = synthesize_frame([], config, geometry, 0.0, 1)
         rd = range_doppler(cube)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .docio import from_document, to_document
 from .errors import CalibrationError, DomainError
 from .signal_model import ArrayGeometry, ChirpConfig, RadarCube
 from .spectral import RangeAngleMap, TargetDetection, detection_voxel, range_doppler
@@ -54,37 +55,11 @@ class CalibrationProfile:
         return self.metal_plate_rho is not None
 
     def to_document(self) -> dict:
-        return {
-            "kind": "calibration_profile",
-            "version": 1,
-            "system_constant_k": self.system_constant_k,
-            "sphere_rcs_m2": self.sphere_rcs_m2,
-            "sphere_range_m": self.sphere_range_m,
-            "sphere_snr_linear": self.sphere_snr_linear,
-            "phase_phasors_re_im": [[float(c.real), float(c.imag)] for c in self.phase_phasors],
-            "noise_power_w": self.noise_power_w,
-            "metal_plate_rho": self.metal_plate_rho,
-        }
+        return to_document(self, "calibration_profile", version=1)
 
     @classmethod
     def from_document(cls, doc: dict) -> "CalibrationProfile":
-        try:
-            phasors = np.array(
-                [complex(re, im) for re, im in doc["phase_phasors_re_im"]]
-            )
-            return cls(
-                system_constant_k=float(doc["system_constant_k"]),
-                sphere_rcs_m2=float(doc["sphere_rcs_m2"]),
-                sphere_range_m=float(doc["sphere_range_m"]),
-                sphere_snr_linear=float(doc["sphere_snr_linear"]),
-                phase_phasors=phasors,
-                noise_power_w=float(doc["noise_power_w"]),
-                metal_plate_rho=(
-                    None if doc.get("metal_plate_rho") is None else float(doc["metal_plate_rho"])
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CalibrationError(f"invalid calibration profile document: {exc}") from exc
+        return from_document(cls, doc, CalibrationError)
 
 
 def estimate_noise_power(empty_cube: RadarCube) -> float:
@@ -177,5 +152,5 @@ def calibrate_plate(
     if result.enhanced_snr_linear <= 1.0:
         raise CalibrationError("plate SNR is below the usable threshold")
     sigma = rcs_from_snr(result.enhanced_snr_linear, detection.range_m, profile)
-    region = compute_prca(ra_map)
+    region = compute_prca(ra_map, (detection.range_bin, detection.angle_bin))
     return replace(profile, metal_plate_rho=sigma / region.area_m2)

@@ -74,15 +74,19 @@ def _fusion_config(path) -> FusionConfig:
     return FusionConfig.from_document(docio.read_document(path))
 
 
-def cmd_simulate(args) -> int:
+def _simulate_scene(args) -> signal_model.RadarCube:
+    """The cube of the scene document, with --seed overriding its seed."""
     targets, config, geometry, noise, seed = cube_io.load_scene(args.scene)
-    if args.seed is not None:
-        seed = args.seed
-    cube = signal_model.synthesize_frame(targets, config, geometry, noise, seed)
+    seed = seed if args.seed is None else args.seed
+    return signal_model.synthesize_frame(targets, config, geometry, noise, seed)
+
+
+def cmd_simulate(args) -> int:
+    cube = _simulate_scene(args)
     cube_io.write_cube(args.output, cube)
     print(
-        f"wrote {args.output}: {config.samples_per_chirp} samples x "
-        f"{config.chirps_per_frame} chirps x {geometry.element_count} antennas"
+        f"wrote {args.output}: {cube.config.samples_per_chirp} samples x "
+        f"{cube.config.chirps_per_frame} chirps x {cube.geometry.element_count} antennas"
     )
     return EXIT_OK
 
@@ -145,13 +149,7 @@ def cmd_fuse(args) -> int:
 def cmd_pipeline(args) -> int:
     if (args.cube is None) == (args.scene is None):
         raise DomainError("provide exactly one of --cube or --scene")
-    if args.cube is not None:
-        cube = cube_io.read_cube(args.cube)
-    else:
-        targets, config, geometry, noise, seed = cube_io.load_scene(args.scene)
-        if args.seed is not None:
-            seed = args.seed
-        cube = signal_model.synthesize_frame(targets, config, geometry, noise, seed)
+    cube = cube_io.read_cube(args.cube) if args.cube is not None else _simulate_scene(args)
     profile = _load_profile(args.profile)
     store = _load_store(args.store)
     provider_cfg = vlm.ProviderConfig.from_document(docio.read_document(args.provider))

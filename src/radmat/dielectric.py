@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .calibration import CalibrationProfile, rcs_from_snr
+from .docio import from_document, to_document
 from .errors import CalibrationError, DomainError, RadmatError
 from .prca import PrcaRegion
 from .signal_model import fresnel_amplitude
@@ -58,35 +59,11 @@ class EmFeatureVector:
             raise DomainError("rcs must equal power_reflection * prca_area")
 
     def to_document(self) -> dict:
-        return {
-            "kind": "em_feature_vector",
-            "range_m": self.range_m,
-            "velocity_m_s": self.velocity_m_s,
-            "angle_rad": self.angle_rad,
-            "snr_db": self.snr_db,
-            "rcs_m2": self.rcs_m2,
-            "power_reflection": self.power_reflection,
-            "fresnel_coefficient": self.fresnel_coefficient,
-            "dielectric_constant": self.dielectric_constant,
-            "prca_area_m2": self.prca_area_m2,
-        }
+        return to_document(self, "em_feature_vector")
 
     @classmethod
     def from_document(cls, doc: dict) -> "EmFeatureVector":
-        try:
-            return cls(
-                range_m=float(doc["range_m"]),
-                velocity_m_s=float(doc["velocity_m_s"]),
-                angle_rad=float(doc["angle_rad"]),
-                snr_db=float(doc["snr_db"]),
-                rcs_m2=float(doc["rcs_m2"]),
-                power_reflection=float(doc["power_reflection"]),
-                fresnel_coefficient=float(doc["fresnel_coefficient"]),
-                dielectric_constant=float(doc["dielectric_constant"]),
-                prca_area_m2=float(doc["prca_area_m2"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"invalid feature record: {exc}") from exc
+        return from_document(cls, doc, DomainError)
 
     @property
     def snr_linear(self) -> float:

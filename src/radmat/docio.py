@@ -4,10 +4,19 @@ Every non-binary artifact (scenes, calibration profiles, feature records,
 material stores, fusion contexts, decisions) is a JSON document with
 explicit units in field names.  Serialization is canonical (sorted keys,
 two-space indent, trailing newline) so outputs are byte-stable.
+
+A document whose keys are its dataclass's field names is derived from
+the fields by ``to_document``: a complex scalar or array goes under
+``<name>_re_im`` as ``[re, im]`` pairs, tuples and arrays become lists
+whose numbers are floats, and other scalars are written as stored.
 """
 
+import dataclasses
 import json
+import typing
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DocumentError
 
@@ -37,3 +46,59 @@ def require(document: dict, key: str, context: str = "document"):
     if key not in document:
         raise DocumentError(f"{context}: missing required field '{key}'")
     return document[key]
+
+
+def _plain(value, nested=False):
+    if isinstance(value, (tuple, np.ndarray)):
+        return [_plain(item, True) for item in value]
+    return float(value) if nested and not isinstance(value, str) else value
+
+
+def to_document(obj, kind: str, omit=(), **extra) -> dict:
+    """The document of a dataclass instance: kind, extra keys, one key per field."""
+    doc = {"kind": kind, **extra}
+    for field in dataclasses.fields(obj):
+        if field.name in omit:
+            continue
+        value = getattr(obj, field.name)
+        if np.iscomplexobj(value):
+            doc[f"{field.name}_re_im"] = _plain(np.stack([np.real(value), np.imag(value)], -1))
+        else:
+            doc[field.name] = _plain(value)
+    return doc
+
+
+def _coerce(hint, value):
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (arg for arg in args if arg is not type(None))
+    if hint is np.ndarray:
+        return np.array([complex(re, im) for re, im in value])
+    if hint is tuple:
+        return tuple((str(name), float(number)) for name, number in value)
+    return hint(value)
+
+
+def from_document(cls, doc: dict, error):
+    """Inverse of ``to_document``, coercing each field by its annotation.
+
+    An ``np.ndarray`` field is read as a complex array from ``<name>_re_im``
+    and a bare ``tuple`` as ``(name, value)`` pairs.  A key may be missing only
+    when its field has a default.  Every KeyError, TypeError or ValueError,
+    the class's own validation included, is raised again as ``error``.
+    """
+    try:
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for field in dataclasses.fields(cls):
+            hint = hints[field.name]
+            key = f"{field.name}_re_im" if hint is np.ndarray else field.name
+            if key in doc:
+                kwargs[field.name] = _coerce(hint, doc[key])
+            elif field.default is dataclasses.MISSING:
+                raise KeyError(key)
+        return cls(**kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"invalid {cls.__name__} document: {exc}") from exc

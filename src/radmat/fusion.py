@@ -18,6 +18,7 @@ resolve toward radar (it reads intrinsic properties), configurably.
 import math
 from dataclasses import dataclass
 
+from .docio import from_document, to_document
 from .errors import DomainError
 from .knowledge import RadarCandidateSet
 
@@ -54,25 +55,11 @@ class VisualContext:
         return 0.0
 
     def to_document(self) -> dict:
-        return {
-            "kind": "visual_context",
-            "luminance": self.luminance,
-            "complexity": self.complexity,
-            "vlm_entropy": self.vlm_entropy,
-            "candidates": [[name, float(p)] for name, p in self.candidates],
-        }
+        return to_document(self, "visual_context")
 
     @classmethod
     def from_document(cls, doc: dict) -> "VisualContext":
-        try:
-            return cls(
-                luminance=float(doc["luminance"]),
-                complexity=float(doc["complexity"]),
-                vlm_entropy=float(doc["vlm_entropy"]),
-                candidates=tuple((str(n), float(p)) for n, p in doc["candidates"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"invalid visual context: {exc}") from exc
+        return from_document(cls, doc, DomainError)
 
 
 @dataclass(frozen=True)
@@ -145,38 +132,11 @@ class FusionConfig:
             raise DomainError("conflict_tie_break must be 'radar' or 'visual'")
 
     def to_document(self) -> dict:
-        return {
-            "kind": "fusion_config",
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda3": self.lambda3,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "gamma3": self.gamma3,
-            "snr_floor": self.snr_floor,
-            "conflict_tie_break": self.conflict_tie_break,
-        }
+        return to_document(self, "fusion_config")
 
     @classmethod
     def from_document(cls, doc: dict) -> "FusionConfig":
-        try:
-            kwargs = {
-                key: (str(doc[key]) if key == "conflict_tie_break" else float(doc[key]))
-                for key in (
-                    "lambda1",
-                    "lambda2",
-                    "lambda3",
-                    "gamma1",
-                    "gamma2",
-                    "gamma3",
-                    "snr_floor",
-                    "conflict_tie_break",
-                )
-                if key in doc
-            }
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"invalid fusion config: {exc}") from exc
+        return from_document(cls, doc, DomainError)
 
 
 @dataclass(frozen=True)
@@ -196,16 +156,7 @@ class FusionDecision:
             raise DomainError("mode must be 'intersection' or 'conflict'")
 
     def to_document(self) -> dict:
-        return {
-            "kind": "fusion_decision",
-            "material": self.material,
-            "mode": self.mode,
-            "w_vis": self.w_vis,
-            "w_rad": self.w_rad,
-            "s_vis": self.s_vis,
-            "s_rad": self.s_rad,
-            "trace": self.trace,
-        }
+        return to_document(self, "fusion_decision")
 
 
 def visual_uncertainty(ctx: VisualContext, config: FusionConfig) -> float:

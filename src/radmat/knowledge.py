@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .docio import read_document
+from .docio import read_document, to_document
 from .errors import DocumentError, DomainError
 
 SIGMA_FLOOR = 0.1
@@ -28,7 +28,6 @@ class MaterialRecord:
     epsilon_low: float
     epsilon_high: float
     source: str = ""
-    itu_coeffs: tuple | None = None  # (a, b)
 
     def __post_init__(self):
         if self.epsilon_low < 1.0:
@@ -81,11 +80,7 @@ class RadarCandidateSet:
         return 0.0
 
     def to_document(self) -> dict:
-        return {
-            "kind": "radar_candidates",
-            "measured_epsilon": self.measured_epsilon,
-            "candidates": [[name, float(score)] for name, score in self.candidates],
-        }
+        return to_document(self, "radar_candidates")
 
 
 class MaterialStore:
@@ -118,7 +113,6 @@ class MaterialStore:
 def _record_from_entry(entry: dict) -> MaterialRecord:
     try:
         eps = entry["epsilon"]
-        itu = entry.get("itu")
         return MaterialRecord(
             material_id=str(entry["id"]),
             name=str(entry["name"]),
@@ -127,7 +121,6 @@ def _record_from_entry(entry: dict) -> MaterialRecord:
             epsilon_low=float(eps["low"]),
             epsilon_high=float(eps["high"]),
             source=str(entry.get("source", "")),
-            itu_coeffs=None if itu is None else (float(itu["a"]), float(itu["b"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed material record: {exc}") from exc

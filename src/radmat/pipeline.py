@@ -76,7 +76,7 @@ def extract_from_cube(
     result = synthesize(
         focused, cube.geometry, detection_voxel(detection), profile.noise_power_w
     )
-    region = compute_prca(ra_map)
+    region = compute_prca(ra_map, (detection.range_bin, detection.angle_bin))
     features = extract_features(detection, result, region, profile)
     return ExtractionResult(features, detection, result, region, rd_map, ra_map)
 

@@ -1,13 +1,14 @@
-"""Peak reflection cell area: the half-power region around the RA-map peak.
+"""Peak reflection cell area: the half-power region around the detected cell.
 
 The region is the 4-connected component of cells whose amplitude is at
-least peak/sqrt(2), grown from the global peak so isolated sidelobes are
-excluded.  Each cell's polar corner coordinates (bin edges) map to a
-Cartesian quadrilateral (x = r*sin(theta), y = r*cos(theta)) whose
-shoelace area has the closed form 0.5*(r_hi^2 - r_lo^2)*sin(theta_hi -
-theta_lo).  The region area is the exactly rounded sum (math.fsum) of
-those per-cell areas, so it does not depend on the order of the cells,
-on the BLAS kernel or on the CPU.
+least seed/sqrt(2), grown from the detected cell so isolated sidelobes
+and brighter reflectors outside the range gate are excluded.  Each
+cell's polar corner coordinates (bin edges) map to a Cartesian
+quadrilateral (x = r*sin(theta), y = r*cos(theta)) whose shoelace area
+has the closed form 0.5*(r_hi^2 - r_lo^2)*sin(theta_hi - theta_lo).
+The region area is the exactly rounded sum (math.fsum) of those
+per-cell areas, so it does not depend on the order of the cells, on the
+BLAS kernel or on the CPU.
 """
 
 import math
@@ -43,17 +44,20 @@ class PrcaRegion:
         }
 
 
-def extract_region(ra_map: RangeAngleMap):
-    """Half-power connected component containing the global peak.
+def extract_region(ra_map: RangeAngleMap, seed=None):
+    """Half-power connected component containing the seed cell.
 
-    Returns (cells, peak_index, threshold).  Peak ties break toward the
-    lowest (range_bin, angle_bin) in row-major order.
+    Returns (cells, peak_index, threshold), where peak_index is the seed.
+    Without a seed the region grows from the global peak, whose ties
+    break toward the lowest (range_bin, angle_bin) in row-major order.
     """
     mags = ra_map.magnitudes
-    peak_value = float(mags.max())
+    if seed is None:
+        seed = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    peak_index = tuple(int(v) for v in seed)
+    peak_value = float(mags[peak_index])
     if peak_value <= 0.0:
         raise DomainError("map has no positive peak")
-    peak_index = tuple(int(v) for v in np.unravel_index(int(np.argmax(mags)), mags.shape))
     threshold = peak_value / np.sqrt(2.0)
 
     n_r, n_a = mags.shape
@@ -109,8 +113,8 @@ def region_area(cells, ra_map: RangeAngleMap) -> float:
     )
 
 
-def compute_prca(ra_map: RangeAngleMap) -> PrcaRegion:
-    cells, peak_index, threshold = extract_region(ra_map)
+def compute_prca(ra_map: RangeAngleMap, seed=None) -> PrcaRegion:
+    cells, peak_index, threshold = extract_region(ra_map, seed)
     return PrcaRegion(
         cell_indices=cells,
         area_m2=region_area(cells, ra_map),

@@ -77,10 +77,6 @@ class ChirpConfig:
         return self.slope_hz_per_s * self.samples_per_chirp / self.sample_rate_hz
 
     @property
-    def range_resolution_m(self) -> float:
-        return SPEED_OF_LIGHT / (2.0 * self.sampled_bandwidth_hz)
-
-    @property
     def unambiguous_range_m(self) -> float:
         # complex baseband: beat frequencies alias at f_s
         return SPEED_OF_LIGHT * self.sample_rate_hz / (2.0 * self.slope_hz_per_s)

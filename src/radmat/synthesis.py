@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .docio import to_document
 from .errors import DomainError
 from .signal_model import ArrayGeometry, ChirpConfig
 from .spectral import TargetDetection, detection_voxel
@@ -41,15 +42,7 @@ class SynthesisResult:
     enhanced_snr_linear: float
 
     def to_document(self) -> dict:
-        return {
-            "kind": "synthesis_result",
-            "focused_signals_re_im": [[float(z.real), float(z.imag)] for z in self.focused_signals],
-            "coherent_sum_re_im": [float(self.coherent_sum.real), float(self.coherent_sum.imag)],
-            "weights": [float(w) for w in self.weights],
-            "weighted_vector": [float(v) for v in self.weighted_vector],
-            "coherence_factor": self.coherence_factor,
-            "enhanced_snr_linear": self.enhanced_snr_linear,
-        }
+        return to_document(self, "synthesis_result", omit=("unit_vectors",))
 
 
 def focus(

@@ -23,7 +23,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .docio import read_document
+from .docio import from_document, read_document
 from .errors import DocumentError, DomainError, ProviderError
 from .fusion import VisualContext
 
@@ -62,16 +62,7 @@ class ProviderConfig:
 
     @classmethod
     def from_document(cls, doc: dict) -> "ProviderConfig":
-        try:
-            return cls(
-                mode=str(doc["mode"]),
-                endpoint_url=doc.get("endpoint_url"),
-                auth_token_env_name=doc.get("auth_token_env_name"),
-                timeout_ms=int(doc.get("timeout_ms", 10000)),
-                fixture_path=doc.get("fixture_path"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentError(f"invalid provider config: {exc}") from exc
+        return from_document(cls, doc, DocumentError)
 
 
 def parse_response(body) -> list:

@@ -12,6 +12,7 @@ import pytest
 
 from radmat import (
     RadarContext,
+    SceneTarget,
     VisualContext,
     decide,
     default_store,
@@ -27,7 +28,7 @@ from radmat import (
 from radmat.knowledge import RadarCandidateSet
 from radmat.pipeline import extract_from_cube
 from radmat.spectral import detect_target, range_angle, range_doppler
-from conftest import GATE_M, make_plate
+from conftest import GATE_M, METAL_EPSILON, make_plate
 
 C = 3.0e8
 
@@ -70,6 +71,40 @@ def test_criterion_2_simulator_end_to_end(
         2,
         "simulator end-to-end",
         "estimates " + ", ".join(f"{e:.3f}" for e in estimates) + f", {elapsed:.1f} s",
+    )
+
+
+def test_out_of_gate_reflector_does_not_take_over_prca(
+    fixture_position, frame_factory, profile
+):
+    """A brighter metal plate beyond the gate leaves eps within 10%.
+
+    The plate at 0.9 m outshines the in-gate board on the range-angle
+    map, so a region grown from the global peak measures the clutter.
+    """
+    clutter_position = np.array([0.3, 0.0, 0.85])
+    clutter = SceneTarget(
+        position_m=clutter_position,
+        dielectric_constant=METAL_EPSILON,
+        facet_normal=-clutter_position / np.linalg.norm(clutter_position),
+        facet_area_m2=0.5,
+        label="out-of-gate metal plate",
+    )
+    cube = frame_factory([make_plate(fixture_position, 4.0), clutter], seed=56)
+    result = extract_from_cube(cube, profile, GATE_M)
+    mags = result.ra_map.magnitudes
+    global_peak_range_m = np.unravel_index(int(np.argmax(mags)), mags.shape)[0] * (
+        result.ra_map.range_bin_m
+    )
+    assert global_peak_range_m > GATE_M[1], "clutter must outshine the gated board"
+    eps = result.features.dielectric_constant
+    assert abs(eps - 4.0) / 4.0 < 0.10
+    detected = (result.detection.range_bin, result.detection.angle_bin)
+    assert result.region.peak_index == detected
+    _report(
+        "2b",
+        "out-of-gate clutter",
+        f"eps {eps:.3f}, region seeded at {detected}, {len(result.region.cell_indices)} cells",
     )
 
 

@@ -1,0 +1,139 @@
+"""The dataclass document codec: defaults, coercion errors and pinned bytes."""
+
+import numpy as np
+import pytest
+
+from radmat.calibration import CalibrationProfile
+from radmat.docio import canonical_bytes
+from radmat.errors import CalibrationError, DocumentError
+from radmat.fusion import FusionConfig
+from radmat.synthesis import SynthesisResult
+from radmat.vlm import ProviderConfig
+
+PROFILE_BYTES = b"""\
+{
+  "kind": "calibration_profile",
+  "metal_plate_rho": 0.75,
+  "noise_power_w": 0.01,
+  "phase_phasors_re_im": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      1.0
+    ],
+    [
+      -0.6,
+      0.8
+    ]
+  ],
+  "sphere_range_m": 0.355,
+  "sphere_rcs_m2": 0.003,
+  "sphere_snr_linear": 12500.0,
+  "system_constant_k": 25000000.0,
+  "version": 1
+}
+"""
+
+SYNTHESIS_BYTES = b"""\
+{
+  "coherence_factor": 0.875,
+  "coherent_sum_re_im": [
+    1.5,
+    1.75
+  ],
+  "enhanced_snr_linear": 40.5,
+  "focused_signals_re_im": [
+    [
+      1.0,
+      2.0
+    ],
+    [
+      0.5,
+      -0.25
+    ]
+  ],
+  "kind": "synthesis_result",
+  "weighted_vector": [
+    1.05,
+    0.0,
+    -1.8
+  ],
+  "weights": [
+    2.0,
+    0.25
+  ]
+}
+"""
+
+
+def _profile(metal_plate_rho=0.75):
+    return CalibrationProfile(
+        system_constant_k=2.5e7,
+        sphere_rcs_m2=0.003,
+        sphere_range_m=0.355,
+        sphere_snr_linear=12500.0,
+        phase_phasors=np.array([1.0, 1j, -0.6 + 0.8j]),
+        noise_power_w=0.01,
+        metal_plate_rho=metal_plate_rho,
+    )
+
+
+class TestPinnedBytes:
+    def test_calibration_profile(self):
+        assert canonical_bytes(_profile().to_document()) == PROFILE_BYTES
+
+    def test_calibration_profile_round_trip(self):
+        doc = _profile().to_document()
+        assert canonical_bytes(CalibrationProfile.from_document(doc).to_document()) == PROFILE_BYTES
+
+    def test_synthesis_result_omits_unit_vectors(self):
+        result = SynthesisResult(
+            focused_signals=np.array([1.0 + 2.0j, 0.5 - 0.25j]),
+            coherent_sum=1.5 + 1.75j,
+            weights=np.array([2.0, 0.25]),
+            unit_vectors=np.array([[0.6, 0.0, -0.8], [-0.6, 0.0, -0.8]]),
+            weighted_vector=np.array([1.05, 0.0, -1.8]),
+            coherence_factor=0.875,
+            enhanced_snr_linear=40.5,
+        )
+        assert canonical_bytes(result.to_document()) == SYNTHESIS_BYTES
+
+
+class TestDefaultsAndNulls:
+    def test_partial_fusion_config_gets_defaults(self):
+        config = FusionConfig.from_document({"kind": "fusion_config", "gamma2": 0.5})
+        assert config == FusionConfig(gamma2=0.5)
+
+    def test_null_metal_plate_rho_loads_incomplete_profile(self):
+        doc = _profile().to_document()
+        doc["metal_plate_rho"] = None
+        profile = CalibrationProfile.from_document(doc)
+        assert profile.metal_plate_rho is None
+        assert not profile.is_complete
+
+    def test_missing_required_key_raises_callers_error(self):
+        doc = _profile().to_document()
+        del doc["noise_power_w"]
+        with pytest.raises(CalibrationError, match="noise_power_w"):
+            CalibrationProfile.from_document(doc)
+
+
+class TestProviderConfigDocument:
+    def test_missing_mode(self):
+        with pytest.raises(DocumentError, match="mode"):
+            ProviderConfig.from_document({"fixture_path": "fixtures.json"})
+
+    def test_non_numeric_timeout(self):
+        with pytest.raises(DocumentError):
+            ProviderConfig.from_document(
+                {"mode": "http", "endpoint_url": "http://127.0.0.1:9/", "timeout_ms": "x"}
+            )
+
+    def test_defaults_and_ignored_keys(self):
+        config = ProviderConfig.from_document(
+            {"mode": "mock", "fixture_path": "fixtures.json", "max_in_flight": 4}
+        )
+        assert config == ProviderConfig(mode="mock", fixture_path="fixtures.json")

@@ -42,6 +42,22 @@ class TestExtractRegion:
         assert peak == (1, 1)
         assert cells == ((1, 1), (1, 2))
 
+    def test_seed_grows_region_from_seed_cell(self):
+        mags = np.zeros((7, 7))
+        mags[1, 1] = mags[1, 2] = 1.0  # global peak
+        mags[5, 4], mags[5, 5], mags[5, 6] = 0.3, 0.5, 0.4
+        cells, peak, threshold = extract_region(_map(mags), seed=(5, 5))
+        assert peak == (5, 5)
+        assert cells == ((5, 5), (5, 6))
+        assert threshold == pytest.approx(0.5 / np.sqrt(2.0))
+        assert compute_prca(_map(mags), seed=(5, 5)).cell_indices == cells
+
+    def test_zero_seed_cell_rejected(self):
+        mags = np.zeros((3, 3))
+        mags[1, 1] = 1.0
+        with pytest.raises(DomainError):
+            extract_region(_map(mags), seed=(0, 0))
+
     def test_plateau_exactly_at_threshold_included(self):
         level = 1.0 / np.sqrt(2.0)
         mags = np.zeros((3, 5))

@@ -59,7 +59,7 @@ class CalibrationProfile:
 
     @classmethod
     def from_document(cls, doc: dict) -> "CalibrationProfile":
-        return from_document(cls, doc, CalibrationError)
+        return from_document(cls, doc, CalibrationError, "calibration_profile", ("version",))
 
 
 def estimate_noise_power(empty_cube: RadarCube) -> float:

@@ -32,7 +32,7 @@ from .errors import (
     SceneError,
 )
 from .fusion import FusionConfig, RadarContext, VisualContext, decide
-from .spectral import DEFAULT_THRESHOLD_DB
+from .spectral import DEFAULT_THRESHOLD_DB, range_doppler
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -117,7 +117,7 @@ def cmd_extract(args) -> int:
     docio.write_document(args.output, result.features.to_document())
     if args.debug:
         base = os.path.splitext(args.output)[0]
-        docio.write_document(f"{base}.rd_map.json", result.rd_map.to_document())
+        docio.write_document(f"{base}.rd_map.json", range_doppler(cube).to_document())
         docio.write_document(f"{base}.ra_map.json", result.ra_map.to_document())
         docio.write_document(f"{base}.synthesis.json", result.synthesis.to_document())
         docio.write_document(f"{base}.prca.json", result.region.to_document())
@@ -184,7 +184,7 @@ def _add_gate(parser):
     )
     parser.add_argument(
         "--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB,
-        help="detection threshold above the map median (dB)",
+        help="detection threshold above the median of the gate's range rows (dB)",
     )
 
 

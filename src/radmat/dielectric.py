@@ -63,7 +63,7 @@ class EmFeatureVector:
 
     @classmethod
     def from_document(cls, doc: dict) -> "EmFeatureVector":
-        return from_document(cls, doc, DomainError)
+        return from_document(cls, doc, DomainError, "em_feature_vector")
 
     @property
     def snr_linear(self) -> float:

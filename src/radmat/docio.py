@@ -81,22 +81,34 @@ def _coerce(hint, value):
     return hint(value)
 
 
-def from_document(cls, doc: dict, error):
+def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
     """Inverse of ``to_document``, coercing each field by its annotation.
 
-    An ``np.ndarray`` field is read as a complex array from ``<name>_re_im``
-    and a bare ``tuple`` as ``(name, value)`` pairs.  A key may be missing only
-    when its field has a default.  Every KeyError, TypeError or ValueError,
-    the class's own validation included, is raised again as ``error``.
+    The document's ``kind``, when it has one, must be ``kind``, and every
+    other key must be a field's key or one of ``extra_keys``: keys that
+    ``to_document`` writes besides the fields, and legacy keys still read
+    and ignored.  An ``np.ndarray`` field is read as a complex array from
+    ``<name>_re_im`` and a bare ``tuple`` as ``(name, value)`` pairs.  A key
+    may be missing only when its field has a default.  A wrong kind, an
+    unknown key and every KeyError, TypeError or ValueError, the class's
+    own validation included, are raised as ``error``.
     """
     try:
         hints = typing.get_type_hints(cls)
+        keys = {
+            field.name: f"{field.name}_re_im" if hints[field.name] is np.ndarray else field.name
+            for field in dataclasses.fields(cls)
+        }
+        if doc.get("kind", kind) != kind:
+            raise ValueError(f"kind {doc['kind']!r} is not {kind!r}")
+        unknown = set(doc) - set(keys.values()) - {"kind", *extra_keys}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         kwargs = {}
         for field in dataclasses.fields(cls):
-            hint = hints[field.name]
-            key = f"{field.name}_re_im" if hint is np.ndarray else field.name
+            key = keys[field.name]
             if key in doc:
-                kwargs[field.name] = _coerce(hint, doc[key])
+                kwargs[field.name] = _coerce(hints[field.name], doc[key])
             elif field.default is dataclasses.MISSING:
                 raise KeyError(key)
         return cls(**kwargs)

@@ -59,7 +59,7 @@ class VisualContext:
 
     @classmethod
     def from_document(cls, doc: dict) -> "VisualContext":
-        return from_document(cls, doc, DomainError)
+        return from_document(cls, doc, DomainError, "visual_context")
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class FusionConfig:
 
     @classmethod
     def from_document(cls, doc: dict) -> "FusionConfig":
-        return from_document(cls, doc, DomainError)
+        return from_document(cls, doc, DomainError, "fusion_config")
 
 
 @dataclass(frozen=True)

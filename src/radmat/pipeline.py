@@ -39,8 +39,8 @@ class ExtractionResult:
 def detect(
     cube: RadarCube, gate_m, threshold_db: float = DEFAULT_THRESHOLD_DB
 ) -> tuple[RangeDopplerMap, RangeAngleMap, TargetDetection]:
-    """Both maps of one frame and the strongest target inside the gate."""
-    rd_map = range_doppler(cube)
+    """Gated range-Doppler map, range-angle map and strongest gated target of one frame."""
+    rd_map = range_doppler(cube, gate_m)
     ra_map = range_angle(cube)
     return rd_map, ra_map, detect_target(rd_map, ra_map, gate_m, threshold_db)
 

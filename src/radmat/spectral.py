@@ -27,16 +27,42 @@ def _range_axis(cfg) -> tuple[int, float]:
     return n_fft_r, SPEED_OF_LIGHT * cfg.sample_rate_hz / (2.0 * cfg.slope_hz_per_s * n_fft_r)
 
 
+def _gate_rows(gate_m, range_bin_m: float, range_bins: int) -> tuple[int, int]:
+    """First and one-past-last range row inside the gate [lo, hi] m.
+
+    The gate must lie within the map extent [0, range_bins * range_bin_m] m
+    and cover at least one bin; a top edge at the extent keeps the last row.
+    """
+    lo_m, hi_m = float(gate_m[0]), float(gate_m[1])
+    extent_m = range_bins * range_bin_m
+    if not (0.0 <= lo_m < hi_m <= extent_m):
+        raise DomainError(
+            f"gate [{lo_m}, {hi_m}] m outside the map extent [0, {extent_m:.3f}] m"
+        )
+    lo = int(np.ceil(lo_m / range_bin_m))
+    hi = min(int(np.floor(hi_m / range_bin_m)) + 1, range_bins)
+    if lo >= hi:
+        raise DomainError("gate narrower than one range bin")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class RangeDopplerMap:
-    """Antenna-accumulated magnitude map plus per-antenna complex spectra."""
+    """Antenna-accumulated magnitude map plus per-antenna complex spectra.
 
-    magnitudes: np.ndarray  # [range_bins, doppler_bins]
+    A gated map holds only some range rows: row i of its arrays is range
+    bin `first_range_bin + i` of the full map, which has `full_range_bins`
+    rows.  A full map has `first_range_bin` 0.
+    """
+
+    magnitudes: np.ndarray  # [range rows, doppler_bins]
     range_bin_m: float
     velocity_bin_m_s: float
-    # [range_bins, doppler_bins, antennas], complex: a transposed view over
-    # antenna-major [antennas, range_bins, doppler_bins] memory
+    # [range rows, doppler_bins, antennas], complex: a transposed view over
+    # antenna-major [antennas, range rows, doppler_bins] memory
     per_antenna: np.ndarray
+    first_range_bin: int
+    full_range_bins: int
 
     def __post_init__(self):
         if np.any(self.magnitudes < 0) or not np.all(np.isfinite(self.magnitudes)):
@@ -47,7 +73,7 @@ class RangeDopplerMap:
         return self.magnitudes.shape[1] // 2
 
     def to_document(self) -> dict:
-        return {
+        doc = {
             "kind": "range_doppler_map",
             "range_bins": int(self.magnitudes.shape[0]),
             "doppler_bins": int(self.magnitudes.shape[1]),
@@ -55,6 +81,9 @@ class RangeDopplerMap:
             "velocity_bin_m_s": self.velocity_bin_m_s,
             "magnitudes_row_major": [float(x) for x in self.magnitudes.ravel()],
         }
+        if self.magnitudes.shape[0] != self.full_range_bins:
+            doc.update(first_range_bin=self.first_range_bin, full_range_bins=self.full_range_bins)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -101,33 +130,38 @@ class TargetDetection:
             raise DomainError("gated signal must be non-zero")
 
 
-def range_doppler(cube: RadarCube) -> RangeDopplerMap:
+def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     """2D FFT over fast time then chirps, magnitudes summed over antennas.
 
-    The FFTs run one antenna at a time along contiguous axes: the range
-    FFT along the last axis of the antenna's contiguous [chirp, fast]
-    block, then the Doppler FFT along the last axis of the contiguous
-    [range, chirp] transpose of the result.  Each 1-D transform sees the
-    same samples as a whole-cube FFT along axis 0 and then axis 1 would,
-    so the per-antenna spectra are bit-identical to it; only the order in
-    which the antenna magnitudes are summed differs.
+    With a gate [lo, hi] m only the range rows inside it are kept after the
+    range FFT, and the Doppler FFT, shift and antenna sum run on those rows
+    alone; with none the map holds every row.  The FFTs run one antenna at
+    a time along contiguous axes: the zero-padded range FFT along the last
+    axis of the antenna's contiguous [chirp, fast] block, then the Doppler
+    FFT along the last axis of the contiguous [range, chirp] transpose of
+    the kept rows.  Each 1-D transform sees the same samples as a
+    whole-cube FFT along axis 0 and then axis 1 would, so a row is
+    bit-identical whether or not the map is gated.
     """
     cfg = cube.config
     if cfg.chirps_per_frame < 2:
         raise DomainError("range-Doppler processing needs at least 2 chirps")
     n_fft_r, range_bin_m = _range_axis(cfg)
+    lo, hi = (0, n_fft_r) if gate_m is None else _gate_rows(gate_m, range_bin_m, n_fft_r)
     n_fft_d = _next_pow2(cfg.chirps_per_frame)
     half = n_fft_d // 2  # n_fft_d is even, so fftshift swaps two equal halves
-    spectra = np.empty((cube.samples.shape[2], n_fft_r, n_fft_d), dtype=complex)
+    spectra = np.empty((cube.samples.shape[2], hi - lo, n_fft_d), dtype=complex)
     for a, spectrum in enumerate(spectra):  # spectrum: [range, doppler] of antenna a
         chirps = np.ascontiguousarray(cube.samples[:, :, a].T)  # [chirp, fast]
-        by_range = np.ascontiguousarray(np.fft.fft(chirps, n=n_fft_r, axis=1).T)
-        doppler = np.fft.fft(by_range, n=n_fft_d, axis=1)
+        by_range = np.fft.fft(chirps, n=n_fft_r, axis=1)[:, lo:hi]
+        doppler = np.fft.fft(np.ascontiguousarray(by_range.T), n=n_fft_d, axis=1)
         spectrum[:, :half] = doppler[:, half:]
         spectrum[:, half:] = doppler[:, :half]
     magnitudes = np.abs(spectra).sum(axis=0)
     velocity_bin_m_s = cfg.wavelength_m / (2.0 * n_fft_d * cfg.chirp_duration_s)
-    return RangeDopplerMap(magnitudes, range_bin_m, velocity_bin_m_s, spectra.transpose(1, 2, 0))
+    return RangeDopplerMap(
+        magnitudes, range_bin_m, velocity_bin_m_s, spectra.transpose(1, 2, 0), lo, n_fft_r
+    )
 
 
 def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad) -> np.ndarray:
@@ -172,31 +206,29 @@ def detect_target(
     gate_m,
     threshold_db: float = DEFAULT_THRESHOLD_DB,
 ) -> TargetDetection:
-    """Strongest gated cell at least `threshold_db` above the map median.
+    """Strongest gated cell, at least `threshold_db` over the gate rows' median.
 
-    Raises NoTargetError when nothing inside the gate clears the threshold.
+    The threshold is `threshold_db` above the median of the gate's range
+    rows, so a full map and a map gated to the same gate give the same
+    detection.  A gated `rd_map` must hold every row of the gate.  Raises
+    NoTargetError when nothing inside the gate clears the threshold.
     """
-    lo_m, hi_m = float(gate_m[0]), float(gate_m[1])
-    n_range = rd_map.magnitudes.shape[0]
-    extent_m = n_range * rd_map.range_bin_m
-    if not (0.0 <= lo_m < hi_m <= extent_m):
+    lo, hi = _gate_rows(gate_m, rd_map.range_bin_m, rd_map.full_range_bins)
+    first = rd_map.first_range_bin
+    if lo < first or hi > first + rd_map.magnitudes.shape[0]:
         raise DomainError(
-            f"gate [{lo_m}, {hi_m}] m outside the map extent [0, {extent_m:.3f}] m"
+            f"gate rows {lo}-{hi - 1} are not all held by the map "
+            f"(rows {first}-{first + rd_map.magnitudes.shape[0] - 1})"
         )
-    lo_bin = int(np.ceil(lo_m / rd_map.range_bin_m))
-    hi_bin = int(np.floor(hi_m / rd_map.range_bin_m))
-    gated = rd_map.magnitudes[lo_bin : hi_bin + 1]
-    if gated.size == 0:
-        raise DomainError("gate narrower than one range bin")
-    flat_peak = int(np.argmax(gated))
-    r_off, d_bin = np.unravel_index(flat_peak, gated.shape)
-    r_bin = lo_bin + int(r_off)
+    gated = rd_map.magnitudes[lo - first : hi - first]
+    r_off, d_bin = np.unravel_index(int(np.argmax(gated)), gated.shape)
+    r_bin = lo + int(r_off)
     peak = float(gated[r_off, d_bin])
-    threshold = float(np.median(rd_map.magnitudes)) * 10.0 ** (threshold_db / 20.0)
+    threshold = float(np.median(gated)) * 10.0 ** (threshold_db / 20.0)
     if peak <= 0.0 or peak < threshold:
         raise NoTargetError(
-            f"no cell in gate [{lo_m}, {hi_m}] m above {threshold_db:.1f} dB "
-            "over the map median"
+            f"no cell in gate [{float(gate_m[0])}, {float(gate_m[1])}] m above "
+            f"{threshold_db:.1f} dB over the median of the gate's range rows"
         )
     a_bin = int(np.argmax(ra_map.magnitudes[r_bin]))
     velocity = (rd_map.zero_doppler_bin - int(d_bin)) * rd_map.velocity_bin_m_s
@@ -207,7 +239,7 @@ def detect_target(
         range_bin=r_bin,
         angle_bin=a_bin,
         doppler_bin=int(d_bin),
-        gated_signal=rd_map.per_antenna[r_bin, d_bin, :].copy(),
+        gated_signal=rd_map.per_antenna[r_bin - first, d_bin, :].copy(),
     )
 
 

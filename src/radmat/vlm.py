@@ -29,6 +29,8 @@ from .fusion import VisualContext
 
 DEFAULT_PROMPT = "What is this object and what is the material?"
 DEFAULT_SCALAR = 0.5
+# provider-document keys of earlier versions, read and ignored
+_LEGACY_KEYS = ("max_in_flight",)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class ProviderConfig:
 
     @classmethod
     def from_document(cls, doc: dict) -> "ProviderConfig":
-        return from_document(cls, doc, DocumentError)
+        return from_document(cls, doc, DocumentError, "provider_config", _LEGACY_KEYS)
 
 
 def parse_response(body) -> list:

@@ -6,6 +6,7 @@ that calibration ratios cancel processing gains exactly.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from radmat import (
     ArrayGeometry,
@@ -16,6 +17,10 @@ from radmat import (
 )
 from radmat.calibration import estimate_noise_power
 from radmat.pipeline import calibrate_from_cubes
+
+# CI selects this with --hypothesis-profile=ci: the same examples every run,
+# and no per-example time limit on a slow runner
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 SPHERE_DIAMETER_M = 0.063
 FIXTURE_NOISE_W = 1e-2

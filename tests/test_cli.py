@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from radmat.cli import (
+    EXIT_DOMAIN,
     EXIT_FORMAT,
     EXIT_IO,
     EXIT_NO_TARGET,
@@ -14,6 +15,7 @@ from radmat.calibration import estimate_noise_power
 from radmat.cube_io import read_cube, write_cube
 from radmat.docio import canonical_bytes, read_document, write_document
 from radmat.pipeline import calibrate_from_cubes
+from radmat.spectral import range_doppler
 from conftest import FIXTURE_NOISE_W, make_plate
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -168,6 +170,23 @@ class TestExtract:
         for suffix in ("rd_map", "ra_map", "synthesis", "prca"):
             assert (tmp_path / f"features.{suffix}.json").exists()
 
+    def test_debug_rd_map_is_full_map(
+        self, tmp_path, fixture_position, frame_factory, profile_path
+    ):
+        # detection reads a map gated to --gate; the debug dump stays the full map
+        cube_path = tmp_path / "plate.rcub"
+        write_cube(cube_path, frame_factory([make_plate(fixture_position, 9.0)], seed=63))
+        out = tmp_path / "features.json"
+        code = main(
+            ["extract", str(cube_path), "--profile", profile_path,
+             "--gate", "0.1", "0.6", "-o", str(out), "--debug"]
+        )
+        assert code == EXIT_OK
+        rd_map = tmp_path / "features.rd_map.json"
+        assert read_document(rd_map)["range_bins"] == 1024
+        full = range_doppler(read_cube(cube_path)).to_document()
+        assert rd_map.read_bytes() == canonical_bytes(full)
+
     def test_debug_base_keeps_dotted_directory(
         self, tmp_path, fixture_position, frame_factory, profile_path
     ):
@@ -200,31 +219,42 @@ class TestIdentify:
         assert doc["candidates"][0][0] == "plastic"
 
 
+def _write_contexts(tmp_path):
+    visual = {
+        "luminance": 0.8,
+        "complexity": 0.2,
+        "vlm_entropy": 0.971,
+        "candidates": [["glass", 0.6], ["plastic", 0.4]],
+    }
+    radar = {
+        "snr_linear": 1e6,
+        "distance_m": 0.3,
+        "max_distance_m": 5.0,
+        "incidence_angle_rad": 0.0,
+        "measured_epsilon": 9.0,
+        "candidates": [["glass", 0.8], ["ceramic", 0.2]],
+    }
+    vpath, rpath = tmp_path / "vis.json", tmp_path / "rad.json"
+    write_document(vpath, visual)
+    write_document(rpath, radar)
+    return vpath, rpath
+
+
 class TestFuse:
     def test_context_documents_to_decision(self, tmp_path):
-        visual = {
-            "luminance": 0.8,
-            "complexity": 0.2,
-            "vlm_entropy": 0.971,
-            "candidates": [["glass", 0.6], ["plastic", 0.4]],
-        }
-        radar = {
-            "snr_linear": 1e6,
-            "distance_m": 0.3,
-            "max_distance_m": 5.0,
-            "incidence_angle_rad": 0.0,
-            "measured_epsilon": 9.0,
-            "candidates": [["glass", 0.8], ["ceramic", 0.2]],
-        }
-        vpath, rpath = tmp_path / "vis.json", tmp_path / "rad.json"
-        write_document(vpath, visual)
-        write_document(rpath, radar)
+        vpath, rpath = _write_contexts(tmp_path)
         out = tmp_path / "decision.json"
         code = main(["fuse", "--visual", str(vpath), "--radar", str(rpath), "-o", str(out)])
         assert code == EXIT_OK
         doc = read_document(out)
         assert doc["material"] == "glass"
         assert doc["mode"] == "intersection"
+
+    def test_visual_context_as_fusion_config_rejected(self, tmp_path):
+        vpath, rpath = _write_contexts(tmp_path)
+        argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath),
+                "--fusion-config", str(vpath), "-o", str(tmp_path / "decision.json")]
+        assert main(argv) == EXIT_DOMAIN
 
 
 class TestPipeline:

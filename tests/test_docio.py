@@ -5,8 +5,8 @@ import pytest
 
 from radmat.calibration import CalibrationProfile
 from radmat.docio import canonical_bytes
-from radmat.errors import CalibrationError, DocumentError
-from radmat.fusion import FusionConfig
+from radmat.errors import CalibrationError, DocumentError, DomainError
+from radmat.fusion import FusionConfig, VisualContext
 from radmat.synthesis import SynthesisResult
 from radmat.vlm import ProviderConfig
 
@@ -132,8 +132,33 @@ class TestProviderConfigDocument:
                 {"mode": "http", "endpoint_url": "http://127.0.0.1:9/", "timeout_ms": "x"}
             )
 
+    def test_benchmark_provider_document(self):
+        config = ProviderConfig.from_document({"mode": "mock", "fixture_path": "fixture.json"})
+        assert config == ProviderConfig(mode="mock", fixture_path="fixture.json")
+
     def test_defaults_and_ignored_keys(self):
         config = ProviderConfig.from_document(
             {"mode": "mock", "fixture_path": "fixtures.json", "max_in_flight": 4}
         )
         assert config == ProviderConfig(mode="mock", fixture_path="fixtures.json")
+
+
+class TestWrongDocuments:
+    def test_misspelt_key_rejected(self):
+        with pytest.raises(DomainError, match="lamda1"):
+            FusionConfig.from_document({"kind": "fusion_config", "lamda1": 0.5})
+
+    def test_wrong_kind_rejected(self):
+        visual = VisualContext(0.5, 0.5, 0.5, (("wood", 1.0),)).to_document()
+        with pytest.raises(DomainError, match="visual_context"):
+            FusionConfig.from_document(visual)
+
+    def test_wrong_kind_raises_callers_error(self):
+        with pytest.raises(CalibrationError, match="kind"):
+            CalibrationProfile.from_document({**_profile().to_document(), "kind": "fusion_config"})
+
+    def test_unknown_provider_key_rejected(self):
+        with pytest.raises(DocumentError, match="max_in_fligth"):
+            ProviderConfig.from_document(
+                {"mode": "mock", "fixture_path": "fixtures.json", "max_in_fligth": 4}
+            )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radmat import (
     ArrayGeometry,
@@ -17,11 +19,14 @@ from radmat import (
 )
 from radmat.calibration import estimate_noise_power
 from radmat.cube_io import read_cube, write_cube
+from radmat.pipeline import detect
 from radmat.spectral import half_power_beamwidth_rad, steering_matrix
 from conftest import FIXTURE_NOISE_W, GATE_M, make_plate, padded_range_bin_m
 
 
-def _single_target_cube(config, geometry, range_m, angle_rad=0.0, velocity=0.0, seed=3):
+def _single_target_cube(
+    config, geometry, range_m, angle_rad=0.0, velocity=0.0, seed=3, noise_power_w=0.0
+):
     position = range_m * np.array([np.sin(angle_rad), 0.0, np.cos(angle_rad)])
     target = make_plate(position, 1e6)
     target = type(target)(
@@ -31,7 +36,7 @@ def _single_target_cube(config, geometry, range_m, angle_rad=0.0, velocity=0.0, 
         facet_normal=np.array([0.0, 0.0, -1.0]),
         facet_area_m2=0.04,
     )
-    return synthesize_frame([target], config, geometry, 0.0, seed)
+    return synthesize_frame([target], config, geometry, noise_power_w, seed)
 
 
 def _whole_cube_range_doppler(samples):
@@ -242,3 +247,98 @@ class TestDetectTarget:
         det = detect_target(range_doppler(cube), range_angle(cube), GATE_M)
         assert det.gated_signal.shape == (geometry.element_count,)
         assert np.linalg.norm(det.gated_signal) > 0
+
+
+class TestGatedMap:
+    """The gated map holds the full map's gate rows, and detection on it
+    matches detection on the full maps."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param((600, 64, 8), id="600x64x8"),
+            pytest.param((256, 128, 12), id="256x128x12"),
+            pytest.param((513, 100, 5), id="513x100x5-padded"),
+            pytest.param((600, 2, 8), id="600x2x8-min-chirps"),
+        ],
+    )
+    def test_rows_equal_full_map_rows(self, shape):
+        n_fast, n_chirp, n_ant = shape
+        config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
+        geometry = default_geometry(config, element_count=n_ant)
+        target = make_plate([0.05, 0.0, 0.3], 4.0)
+        cube = synthesize_frame([target], config, geometry, FIXTURE_NOISE_W, 5)
+        full = range_doppler(cube)
+        bin_m = full.range_bin_m
+        lo, hi = math.ceil(GATE_M[0] / bin_m), math.floor(GATE_M[1] / bin_m) + 1
+        gated = range_doppler(cube, GATE_M)
+        assert (gated.first_range_bin, gated.full_range_bins) == (lo, full.magnitudes.shape[0])
+        assert (full.first_range_bin, full.full_range_bins) == (0, full.magnitudes.shape[0])
+        np.testing.assert_array_equal(gated.per_antenna, full.per_antenna[lo:hi])
+        np.testing.assert_array_equal(gated.magnitudes, full.magnitudes[lo:hi])
+        doc = gated.to_document()
+        assert (doc["first_range_bin"], doc["range_bins"], doc["full_range_bins"]) == (
+            lo, hi - lo, full.magnitudes.shape[0]
+        )
+        assert "first_range_bin" not in full.to_document()
+
+    @pytest.mark.parametrize(
+        "velocity, gate_bins, rows",
+        [
+            pytest.param(0.25, (4.5, 27.0), (5, 23), id="moving-0.25"),
+            pytest.param(1.0, (4.5, 27.0), (5, 23), id="moving-1.0"),
+            pytest.param(0.0, (15.6, 16.4), (16, 1), id="one-row-gate"),
+            pytest.param(0.0, (4.5, 1024.0), (5, 1019), id="top-edge-at-extent"),
+        ],
+    )
+    def test_detect_matches_full_map_detection(self, config, geometry, velocity, gate_bins, rows):
+        # gate edges in padded range bins; the map has 1024 of them
+        bin_m = padded_range_bin_m(config)
+        gate = (gate_bins[0] * bin_m, gate_bins[1] * bin_m)
+        cube = _single_target_cube(
+            config, geometry, 16 * bin_m, velocity=velocity, seed=7, noise_power_w=FIXTURE_NOISE_W
+        )
+        rd, _, det = detect(cube, gate)
+        assert (rd.first_range_bin, rd.magnitudes.shape[0], rd.full_range_bins) == (*rows, 1024)
+        full = detect_target(range_doppler(cube), range_angle(cube), gate)
+        assert det.range_bin == full.range_bin == 16
+        assert (det.doppler_bin, det.angle_bin) == (full.doppler_bin, full.angle_bin)
+        assert (det.range_m, det.velocity_m_s, det.angle_rad) == (
+            full.range_m, full.velocity_m_s, full.angle_rad
+        )
+        np.testing.assert_array_equal(det.gated_signal, full.gated_signal)
+        if velocity:
+            assert det.velocity_m_s == pytest.approx(velocity, abs=rd.velocity_bin_m_s)
+
+    def test_out_of_gate_plate(self, config, geometry):
+        position = 0.8 * np.array([0.0, 0.0, 1.0])
+        cube = synthesize_frame([make_plate(position, 1e6)], config, geometry, 10.0, 9)
+        with pytest.raises(NoTargetError):
+            detect(cube, (0.1, 0.5))
+        with pytest.raises(NoTargetError):
+            detect_target(range_doppler(cube), range_angle(cube), (0.1, 0.5))
+        _, _, det = detect(cube, (0.1, 1.0))
+        full = detect_target(range_doppler(cube), range_angle(cube), (0.1, 1.0))
+        assert (det.range_bin, det.doppler_bin, det.angle_bin) == (
+            full.range_bin, full.doppler_bin, full.angle_bin
+        )
+        np.testing.assert_array_equal(det.gated_signal, full.gated_signal)
+
+    def test_gate_outside_extent_rejected(self, config, geometry):
+        cube = _single_target_cube(config, geometry, 0.25)
+        rd, ra = range_doppler(cube, GATE_M), range_angle(cube)
+        with pytest.raises(DomainError, match="extent"):
+            detect_target(rd, ra, (0.1, 1e6))
+        with pytest.raises(DomainError, match="extent"):
+            detect(cube, (0.1, 1e6))
+        with pytest.raises(DomainError, match="held"):
+            detect_target(rd, ra, (0.7, 0.9))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63),
+        noise_power_w=st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_noise_only_cube_has_no_target(self, frame_factory, seed, noise_power_w):
+        with pytest.raises(NoTargetError):
+            detect(frame_factory([], seed=seed, noise_power_w=noise_power_w), GATE_M)

@@ -10,12 +10,11 @@ reference store matches it to material candidates, and an
 uncertainty-gated fusion step arbitrates against visual candidates.
 """
 
-from .calibration import CalibrationProfile, calibrate_plate, calibrate_sphere, rcs_from_snr
+from .calibration import CalibrationProfile, Measurement, calibrate_plate, calibrate_sphere, measure, rcs_from_snr
 from .dielectric import (
     EmFeatureVector,
     dielectric_from_fresnel,
     extract_features,
-    itu_dielectric,
     reflection_coefficients,
 )
 from .errors import (

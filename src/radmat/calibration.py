@@ -7,8 +7,9 @@ C_j = exp(-j*(phi_meas_j - phi_cali_j)) that cancel hardware offsets.
 The plate, measured after the sphere, provides the power reflection of a
 perfect reflector; material reflectivities are later normalized by it.
 
-Enhanced (synthesis) SNR is used for both calibration and measurement so
-the two sides of every ratio share the same processing gain.
+`measure` is the one path from a detection to its enhanced (synthesis) SNR,
+RCS and PRCA region, for the plate and every target alike; the sphere's SNR
+comes from the same focus and synthesis, so every ratio's sides match.
 """
 
 import math
@@ -18,8 +19,10 @@ import numpy as np
 
 from .docio import from_document, to_document
 from .errors import CalibrationError, DomainError
+from .prca import PrcaRegion, compute_prca
 from .signal_model import ArrayGeometry, ChirpConfig, RadarCube
 from .spectral import RangeAngleMap, TargetDetection, detection_voxel, range_doppler
+from .synthesis import SynthesisResult, focus, synthesize
 
 OPTICAL_REGION_FACTOR = 5.0  # minimum sphere diameter in wavelengths
 
@@ -77,6 +80,12 @@ def estimate_noise_power(empty_cube: RadarCube) -> float:
     return estimate
 
 
+def _synthesis(detection, phasors, geometry, config, noise_power_w) -> SynthesisResult:
+    """Focus the gated signal on the detection's voxel and synthesize it."""
+    focused = focus(detection, phasors, geometry, config)
+    return synthesize(focused, geometry, detection_voxel(detection), noise_power_w)
+
+
 def calibrate_sphere(
     detection: TargetDetection,
     geometry: ArrayGeometry,
@@ -102,10 +111,7 @@ def calibrate_sphere(
     phasors = np.exp(-1j * (measured_phase - expected_phase))
 
     # focused signals are real-positive by construction at the sphere voxel
-    from .synthesis import synthesize
-
-    focused = detection.gated_signal * phasors * np.exp(4j * np.pi * dists / lam)
-    snr_c = synthesize(focused, geometry, voxel, noise_power_w).enhanced_snr_linear
+    snr_c = _synthesis(detection, phasors, geometry, config, noise_power_w).enhanced_snr_linear
     if snr_c <= 0:
         raise CalibrationError("sphere signal has zero synthesized power")
 
@@ -130,6 +136,33 @@ def rcs_from_snr(snr_linear: float, range_m: float, profile: CalibrationProfile)
     )
 
 
+@dataclass(frozen=True)
+class Measurement:
+    """A detection with its focused synthesis, RCS and PRCA region."""
+
+    detection: TargetDetection
+    synthesis: SynthesisResult
+    rcs_m2: float
+    region: PrcaRegion
+
+
+def measure(
+    detection: TargetDetection,
+    ra_map: RangeAngleMap,
+    geometry: ArrayGeometry,
+    config: ChirpConfig,
+    profile: CalibrationProfile,
+) -> Measurement:
+    """Focused synthesis, sphere-referenced RCS and PRCA region of a detection."""
+    synthesis = _synthesis(detection, profile.phase_phasors, geometry, config, profile.noise_power_w)
+    return Measurement(
+        detection=detection,
+        synthesis=synthesis,
+        rcs_m2=rcs_from_snr(synthesis.enhanced_snr_linear, detection.range_m, profile),
+        region=compute_prca(ra_map, (detection.range_bin, detection.angle_bin)),
+    )
+
+
 def calibrate_plate(
     detection: TargetDetection,
     ra_map: RangeAngleMap,
@@ -144,13 +177,7 @@ def calibrate_plate(
     """
     if profile is None:
         raise CalibrationError("sphere calibration must run before the plate")
-    from .prca import compute_prca
-    from .synthesis import focus, synthesize
-
-    focused = focus(detection, profile, geometry, config)
-    result = synthesize(focused, geometry, detection_voxel(detection), profile.noise_power_w)
-    if result.enhanced_snr_linear <= 1.0:
+    m = measure(detection, ra_map, geometry, config, profile)
+    if m.synthesis.enhanced_snr_linear <= 1.0:
         raise CalibrationError("plate SNR is below the usable threshold")
-    sigma = rcs_from_snr(result.enhanced_snr_linear, detection.range_m, profile)
-    region = compute_prca(ra_map, (detection.range_bin, detection.angle_bin))
-    return replace(profile, metal_plate_rho=sigma / region.area_m2)
+    return replace(profile, metal_plate_rho=m.rcs_m2 / m.region.area_m2)

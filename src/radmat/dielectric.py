@@ -1,9 +1,10 @@
 """Dielectric constant extraction from calibrated radar measurements.
 
-The chain: enhanced SNR -> RCS (sphere-referenced) -> power reflection
-rho = sigma / A_r (PRCA-normalized) -> Fresnel coefficient r_p =
-sqrt(rho / rho_metal_plate) -> relative dielectric constant via inversion
-of the p-polarized Fresnel formula.
+The chain starts from a `calibration.Measurement`, whose RCS sigma is
+already sphere-referenced: power reflection rho = sigma / A_r
+(PRCA-normalized) -> Fresnel coefficient r_p = sqrt(rho /
+rho_metal_plate) -> relative dielectric constant via inversion of the
+p-polarized Fresnel formula.
 
 The inversion at normal incidence is eps = ((1 + r) / (1 - r))^2; at
 oblique incidence both branches of
@@ -21,13 +22,10 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .calibration import CalibrationProfile, rcs_from_snr
+from .calibration import CalibrationProfile, Measurement
 from .docio import from_document, to_document
 from .errors import CalibrationError, DomainError, RadmatError
-from .prca import PrcaRegion
 from .signal_model import fresnel_amplitude
-from .spectral import TargetDetection
-from .synthesis import SynthesisResult
 
 R_P_CEILING = 1.0 - 1e-9
 
@@ -109,13 +107,6 @@ def dielectric_from_fresnel(r_p: float, incidence_angle_rad: float) -> float:
     return max(best, 1.0)
 
 
-def itu_dielectric(coeff_a: float, coeff_b: float, frequency_ghz: float) -> float:
-    """Frequency-dependent reference model eps_r(f) = a * f^b, f in GHz."""
-    if coeff_a <= 0 or frequency_ghz <= 0:
-        raise DomainError("coefficient a and frequency must be positive")
-    return coeff_a * frequency_ghz**coeff_b
-
-
 @contextmanager
 def _stage(label: str):
     try:
@@ -124,18 +115,12 @@ def _stage(label: str):
         raise type(exc)(f"{label}: {exc}") from exc
 
 
-def extract_features(
-    detection: TargetDetection,
-    synthesis_result: SynthesisResult,
-    prca_region: PrcaRegion,
-    profile: CalibrationProfile,
-) -> EmFeatureVector:
-    """Assemble the full feature vector; errors carry their stage label."""
-    snr = synthesis_result.enhanced_snr_linear
-    with _stage("rcs"):
-        sigma = rcs_from_snr(snr, detection.range_m, profile)
+def extract_features(measurement: Measurement, profile: CalibrationProfile) -> EmFeatureVector:
+    """Feature vector of a `calibration.measure` result; errors carry their stage label."""
+    detection, area_m2 = measurement.detection, measurement.region.area_m2
+    snr = measurement.synthesis.enhanced_snr_linear
     with _stage("reflection"):
-        rho, r_p = reflection_coefficients(sigma, prca_region.area_m2, profile)
+        rho, r_p = reflection_coefficients(measurement.rcs_m2, area_m2, profile)
     with _stage("inversion"):
         epsilon = dielectric_from_fresnel(r_p, abs(detection.angle_rad))
     return EmFeatureVector(
@@ -143,9 +128,9 @@ def extract_features(
         velocity_m_s=detection.velocity_m_s,
         angle_rad=detection.angle_rad,
         snr_db=10.0 * math.log10(snr) if snr > 0 else -math.inf,
-        rcs_m2=rho * prca_region.area_m2,
+        rcs_m2=rho * area_m2,
         power_reflection=rho,
         fresnel_coefficient=r_p,
         dielectric_constant=epsilon,
-        prca_area_m2=prca_region.area_m2,
+        prca_area_m2=area_m2,
     )

@@ -81,6 +81,16 @@ def _coerce(hint, value):
     return hint(value)
 
 
+def check_keys(doc: dict, kind: str, keys) -> None:
+    """Raise ValueError for a ``kind`` other than ``kind``, when the
+    document has one, or for a key that is neither ``kind`` nor in ``keys``."""
+    if doc.get("kind", kind) != kind:
+        raise ValueError(f"kind {doc['kind']!r} is not {kind!r}")
+    unknown = set(doc) - {"kind", *keys}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+
+
 def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
     """Inverse of ``to_document``, coercing each field by its annotation.
 
@@ -99,11 +109,7 @@ def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
             field.name: f"{field.name}_re_im" if hints[field.name] is np.ndarray else field.name
             for field in dataclasses.fields(cls)
         }
-        if doc.get("kind", kind) != kind:
-            raise ValueError(f"kind {doc['kind']!r} is not {kind!r}")
-        unknown = set(doc) - set(keys.values()) - {"kind", *extra_keys}
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown)}")
+        check_keys(doc, kind, (*keys.values(), *extra_keys))
         kwargs = {}
         for field in dataclasses.fields(cls):
             key = keys[field.name]

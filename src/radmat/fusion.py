@@ -18,7 +18,7 @@ resolve toward radar (it reads intrinsic properties), configurably.
 import math
 from dataclasses import dataclass
 
-from .docio import from_document, to_document
+from .docio import check_keys, from_document, to_document
 from .errors import DomainError
 from .knowledge import RadarCandidateSet
 
@@ -70,6 +70,9 @@ class RadarContext:
     incidence_angle_rad: float
     candidates: RadarCandidateSet
 
+    # the document's scalar keys; its other two come from `candidates`
+    _SCALARS = ("snr_linear", "distance_m", "max_distance_m", "incidence_angle_rad")
+
     def __post_init__(self):
         if self.snr_linear <= 0:
             raise DomainError("SNR must be positive")
@@ -81,10 +84,7 @@ class RadarContext:
     def to_document(self) -> dict:
         return {
             "kind": "radar_context",
-            "snr_linear": self.snr_linear,
-            "distance_m": self.distance_m,
-            "max_distance_m": self.max_distance_m,
-            "incidence_angle_rad": self.incidence_angle_rad,
+            **{key: getattr(self, key) for key in self._SCALARS},
             "measured_epsilon": self.candidates.measured_epsilon,
             "candidates": [[n, float(s)] for n, s in self.candidates.candidates],
         }
@@ -92,11 +92,9 @@ class RadarContext:
     @classmethod
     def from_document(cls, doc: dict) -> "RadarContext":
         try:
+            check_keys(doc, "radar_context", (*cls._SCALARS, "measured_epsilon", "candidates"))
             return cls(
-                snr_linear=float(doc["snr_linear"]),
-                distance_m=float(doc["distance_m"]),
-                max_distance_m=float(doc["max_distance_m"]),
-                incidence_angle_rad=float(doc["incidence_angle_rad"]),
+                **{key: float(doc[key]) for key in cls._SCALARS},
                 candidates=RadarCandidateSet(
                     candidates=tuple((str(n), float(s)) for n, s in doc["candidates"]),
                     measured_epsilon=float(doc["measured_epsilon"]),

@@ -6,12 +6,12 @@ library users and tests can drive the identical chain.
 
 from dataclasses import dataclass
 
-from .calibration import CalibrationProfile, calibrate_plate, calibrate_sphere
+from .calibration import CalibrationProfile, calibrate_plate, calibrate_sphere, measure
 from .dielectric import EmFeatureVector, extract_features
 from .errors import CalibrationError
 from .fusion import FusionConfig, FusionDecision, RadarContext, VisualContext, decide
 from .knowledge import DEFAULT_TOP_K, MaterialStore, RadarCandidateSet, match, prune_visual
-from .prca import PrcaRegion, compute_prca
+from .prca import PrcaRegion
 from .signal_model import RadarCube
 from .spectral import (
     DEFAULT_THRESHOLD_DB,
@@ -19,11 +19,10 @@ from .spectral import (
     RangeDopplerMap,
     TargetDetection,
     detect_target,
-    detection_voxel,
     range_angle,
     range_doppler,
 )
-from .synthesis import SynthesisResult, focus, synthesize
+from .synthesis import SynthesisResult
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,6 @@ class ExtractionResult:
     detection: TargetDetection
     synthesis: SynthesisResult
     region: PrcaRegion
-    rd_map: RangeDopplerMap
     ra_map: RangeAngleMap
 
 
@@ -71,14 +69,10 @@ def extract_from_cube(
     """Run the full radar-side chain on one frame."""
     if not profile.is_complete:
         raise CalibrationError("profile lacks the metal plate reference")
-    rd_map, ra_map, detection = detect(cube, gate_m, threshold_db)
-    focused = focus(detection, profile, cube.geometry, cube.config)
-    result = synthesize(
-        focused, cube.geometry, detection_voxel(detection), profile.noise_power_w
-    )
-    region = compute_prca(ra_map, (detection.range_bin, detection.angle_bin))
-    features = extract_features(detection, result, region, profile)
-    return ExtractionResult(features, detection, result, region, rd_map, ra_map)
+    _, ra_map, detection = detect(cube, gate_m, threshold_db)
+    m = measure(detection, ra_map, cube.geometry, cube.config, profile)
+    features = extract_features(m, profile)
+    return ExtractionResult(features, detection, m.synthesis, m.region, ra_map)
 
 
 def radar_context_from_features(

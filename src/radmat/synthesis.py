@@ -15,10 +15,7 @@ kept as-is.  The direction of S_w encodes the surface slope seen by the
 array, its magnitude the coherent signal strength.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +23,6 @@ from .docio import to_document
 from .errors import DomainError
 from .signal_model import ArrayGeometry, ChirpConfig
 from .spectral import TargetDetection, detection_voxel
-
-if TYPE_CHECKING:  # avoids a runtime cycle with calibration
-    from .calibration import CalibrationProfile
 
 
 @dataclass(frozen=True)
@@ -47,25 +41,21 @@ class SynthesisResult:
 
 def focus(
     detection: TargetDetection,
-    profile: CalibrationProfile,
+    phasors: np.ndarray,
     geometry: ArrayGeometry,
     config: ChirpConfig,
-    voxel=None,
 ) -> np.ndarray:
-    """Phase-align the gated signal toward a voxel.
+    """Phase-align the gated signal toward the detection's voxel v.
 
-    I_j = x_j * C_j * exp(j * 4*pi*||p_j - v|| / lambda).  The stored
-    calibration phasors cancel hardware phase offsets; the exponential
-    removes the two-way geometric delay, so a true point source at v
-    leaves all I_j with a common phase.
+    I_j = x_j * C_j * exp(j * 4*pi*||p_j - v|| / lambda).  The calibration
+    phasors C_j cancel hardware phase offsets; the exponential removes
+    the two-way geometric delay, so a true point source at v leaves all
+    I_j with a common phase.
     """
     x = detection.gated_signal
-    phasors = profile.phase_phasors
     if len(phasors) != geometry.element_count or len(x) != geometry.element_count:
-        raise DomainError(
-            "antenna count mismatch between detection, profile and geometry"
-        )
-    v = detection_voxel(detection) if voxel is None else np.asarray(voxel, dtype=float)
+        raise DomainError("antenna count mismatch between detection, phasors and geometry")
+    v = detection_voxel(detection)
     dists = np.linalg.norm(geometry.element_positions - v, axis=1)
     return x * phasors * np.exp(4j * np.pi * dists / config.wavelength_m)
 

@@ -3,11 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from radmat import CalibrationError, DomainError, calibrate_plate, calibrate_sphere, rcs_from_snr
-from radmat.calibration import CalibrationProfile, estimate_noise_power
+from radmat import (
+    CalibrationError,
+    ChirpConfig,
+    DomainError,
+    calibrate_plate,
+    calibrate_sphere,
+    default_geometry,
+    rcs_from_snr,
+    synthesize_frame,
+)
+from radmat.calibration import CalibrationProfile, estimate_noise_power, measure
 from radmat.docio import canonical_bytes
+from radmat.pipeline import calibrate_from_cubes, detect, extract_from_cube
 from radmat.spectral import detect_target, range_angle, range_doppler
-from conftest import GATE_M, SPHERE_DIAMETER_M, make_plate, make_sphere
+from conftest import (
+    FIXTURE_NOISE_W,
+    GATE_M,
+    METAL_EPSILON,
+    SPHERE_DIAMETER_M,
+    make_plate,
+    make_sphere,
+    padded_range_bin_m,
+)
 
 
 def _sphere_detection(config, geometry, position, frame_factory, seed=41, **kwargs):
@@ -109,6 +127,38 @@ class TestCalibratePlate:
         once = calibrate_plate(det, ra, geometry, config, profile)
         twice = calibrate_plate(det, ra, geometry, config, once)
         assert once.metal_plate_rho == twice.metal_plate_rho
+
+
+# (samples per chirp, chirps per frame, antennas, range bin of the references)
+CALIBRATED_SHAPES = [(600, 64, 8, 16), (256, 128, 12, 4)]
+
+
+class TestReferencesReadAsThemselves:
+    """The sphere and the plate go through the target's measurement step,
+    so each reference measured as a target reads exactly its own value."""
+
+    @pytest.mark.parametrize("shape", CALIBRATED_SHAPES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sphere_and_plate(self, shape, seed):
+        samples, chirps, antennas, reference_bin = shape
+        config = ChirpConfig(samples_per_chirp=samples, chirps_per_frame=chirps)
+        geometry = default_geometry(config, antennas)
+        position = [0.0, 0.0, reference_bin * padded_range_bin_m(config)]
+
+        def frame(targets, offset):
+            return synthesize_frame(targets, config, geometry, FIXTURE_NOISE_W, 10 * seed + offset)
+
+        sphere_cube = frame([make_sphere(position)], 1)
+        plate_cube = frame([make_plate(position, METAL_EPSILON)], 2)
+        noise = estimate_noise_power(frame([], 3))
+        profile = calibrate_from_cubes(sphere_cube, plate_cube, SPHERE_DIAMETER_M, noise, GATE_M)
+
+        _, ra, det = detect(sphere_cube, GATE_M)
+        sphere = measure(det, ra, geometry, config, profile)
+        assert sphere.synthesis.enhanced_snr_linear == profile.sphere_snr_linear
+        assert sphere.rcs_m2 == profile.sphere_rcs_m2
+        plate = extract_from_cube(plate_cube, profile, GATE_M).features
+        assert plate.power_reflection == profile.metal_plate_rho
 
 
 class TestProfilePersistence:

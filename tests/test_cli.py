@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from radmat.cli import (
+    EXIT_CALIBRATION,
     EXIT_DOMAIN,
     EXIT_FORMAT,
     EXIT_IO,
@@ -123,6 +124,23 @@ class TestCalibrateCommand:
             estimate_noise_power(read_cube(empty)), (0.1, 0.6),
         )
         assert out.read_bytes() == canonical_bytes(library.to_document())
+
+    def test_plate_below_usable_snr_exits_6(
+        self, tmp_path, fixture_position, frame_factory, capsys
+    ):
+        from conftest import make_sphere
+
+        # measure computes the plate's sigma before the SNR check; a swamped
+        # plate must still fail as a calibration error
+        sphere = tmp_path / "sphere.rcub"
+        plate = tmp_path / "plate.rcub"
+        write_cube(sphere, frame_factory([make_sphere(fixture_position)], seed=11))
+        write_cube(plate, frame_factory([make_plate(fixture_position, 1e6)], seed=12))
+        argv = ["calibrate", "--sphere", str(sphere), "--plate", str(plate),
+                "--noise-power", "1e15", "--sphere-diameter", "0.063",
+                "--gate", "0.1", "0.6", "-o", str(tmp_path / "profile.json")]
+        assert main(argv) == EXIT_CALIBRATION
+        assert "plate SNR is below the usable threshold" in capsys.readouterr().err
 
 
 class TestExtract:
@@ -254,6 +272,14 @@ class TestFuse:
         vpath, rpath = _write_contexts(tmp_path)
         argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath),
                 "--fusion-config", str(vpath), "-o", str(tmp_path / "decision.json")]
+        assert main(argv) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("stray", [{"kind": "fusion_decision"}, {"snr_floor": 1e-6}])
+    def test_radar_context_of_another_kind_or_with_stray_key_rejected(self, tmp_path, stray):
+        vpath, rpath = _write_contexts(tmp_path)
+        write_document(rpath, {**read_document(rpath), **stray})
+        argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath),
+                "-o", str(tmp_path / "decision.json")]
         assert main(argv) == EXIT_DOMAIN
 
 

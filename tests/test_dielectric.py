@@ -8,7 +8,6 @@ from radmat import (
     DomainError,
     dielectric_from_fresnel,
     fresnel_amplitude,
-    itu_dielectric,
     reflection_coefficients,
 )
 from radmat.dielectric import EmFeatureVector
@@ -74,25 +73,6 @@ class TestDielectricFromFresnel:
             dielectric_from_fresnel(0.3, math.pi / 2)
 
 
-class TestItuDielectric:
-    def test_frequency_flat_material(self):
-        assert itu_dielectric(3.2, 0.0, 60.0) == 3.2
-
-    def test_direct_evaluation(self):
-        assert itu_dielectric(2.0, 1.0, 3.0) == pytest.approx(6.0, rel=1e-12)
-
-    def test_logarithm_identity_oracle(self):
-        # a * f^b == exp(ln a + b ln f)
-        expected = math.exp(math.log(5.0) - 0.1 * math.log(60.0))
-        assert itu_dielectric(5.0, -0.1, 60.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            itu_dielectric(-1.0, 0.0, 60.0)
-        with pytest.raises(DomainError):
-            itu_dielectric(1.0, 0.0, 0.0)
-
-
 class TestExtractFeatures:
     def test_oracle_plate_recovery_within_ten_percent(
         self, fixture_position, frame_factory, profile
@@ -112,19 +92,17 @@ class TestExtractFeatures:
     ):
         from dataclasses import replace
 
+        from radmat.calibration import measure
         from radmat.dielectric import extract_features
-        from radmat.prca import compute_prca
-        from radmat.spectral import detect_target, detection_voxel, range_angle, range_doppler
-        from radmat.synthesis import focus, synthesize
+        from radmat.spectral import detect_target, range_angle, range_doppler
 
         incomplete = replace(profile, metal_plate_rho=None)
         cube = frame_factory([make_plate(fixture_position, 4.0)], seed=53)
         rd, ra = range_doppler(cube), range_angle(cube)
         det = detect_target(rd, ra, GATE_M)
-        focused = focus(det, incomplete, geometry, config)
-        result = synthesize(focused, geometry, detection_voxel(det), incomplete.noise_power_w)
+        measurement = measure(det, ra, geometry, config, incomplete)
         with pytest.raises(CalibrationError, match="reflection"):
-            extract_features(det, result, compute_prca(ra), incomplete)
+            extract_features(measurement, incomplete)
 
     def test_rcs_equals_rho_times_area(self, fixture_position, frame_factory, profile):
         cube = frame_factory([make_plate(fixture_position, 9.0)], seed=54)

@@ -219,3 +219,12 @@ class TestContextsValidation:
         again = RadarContext.from_document(radar.to_document())
         assert again.candidates.candidates == radar.candidates.candidates
         assert again.snr_linear == radar.snr_linear
+
+    @pytest.mark.parametrize(
+        "stray, message",
+        [({"kind": "fusion_decision"}, "kind"), ({"snr_floor": 1e-6}, "snr_floor")],
+    )
+    def test_radar_document_of_another_kind_or_with_stray_key_rejected(self, stray, message):
+        doc = {**_radar([("glass", 1.0)]).to_document(), **stray}
+        with pytest.raises(DomainError, match=message):
+            RadarContext.from_document(doc)

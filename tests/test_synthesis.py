@@ -33,7 +33,7 @@ class TestFocus:
     ):
         cube = frame_factory([make_plate(fixture_position, 4.0)], seed=21, noise_power_w=0.0)
         det = detect_target(range_doppler(cube), range_angle(cube), GATE_M)
-        focused = focus(det, clean_profile, geometry, config)
+        focused = focus(det, clean_profile.phase_phasors, geometry, config)
         assert _aligned(focused)
 
     def test_injected_offsets_cancelled_by_matching_phasors(
@@ -54,7 +54,7 @@ class TestFocus:
             phase_offsets_rad=offsets,
         )
         pdet = detect_target(range_doppler(plate_cube), range_angle(plate_cube), GATE_M)
-        focused = focus(pdet, prof, geometry, config)
+        focused = focus(pdet, prof.phase_phasors, geometry, config)
         assert _aligned(focused)
 
     def test_antenna_count_mismatch_rejected(self, config, geometry, fixture_position, profile, frame_factory):
@@ -62,7 +62,7 @@ class TestFocus:
         det = detect_target(range_doppler(cube), range_angle(cube), GATE_M)
         small = default_geometry(config, element_count=4)
         with pytest.raises(DomainError, match="mismatch"):
-            focus(det, profile, small, config)
+            focus(det, profile.phase_phasors, small, config)
 
     def test_focus_is_linear_in_the_gated_signal(
         self, config, geometry, fixture_position, profile, frame_factory
@@ -73,8 +73,8 @@ class TestFocus:
 
         doubled = replace(det, gated_signal=det.gated_signal * 2.0)
         assert np.allclose(
-            focus(doubled, profile, geometry, config),
-            2.0 * focus(det, profile, geometry, config),
+            focus(doubled, profile.phase_phasors, geometry, config),
+            2.0 * focus(det, profile.phase_phasors, geometry, config),
         )
 
 
@@ -138,7 +138,7 @@ class TestSynthesize:
     ):
         cube = frame_factory([make_plate(fixture_position, 4.0)], seed=25, noise_power_w=0.0)
         det = detect_target(range_doppler(cube), range_angle(cube), GATE_M)
-        focused = focus(det, profile, geometry, config)
+        focused = focus(det, profile.phase_phasors, geometry, config)
         result = synthesize(focused, geometry, detection_voxel(det), profile.noise_power_w)
         raw = np.max(np.abs(det.gated_signal) ** 2) / profile.noise_power_w
         assert result.enhanced_snr_linear >= raw

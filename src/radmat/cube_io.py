@@ -16,8 +16,12 @@ Cube format: a fixed 64-byte little-endian header
     60      4     zero padding
 
 followed by float32 (real, imag) pairs, fast-time fastest-varying, then
-chirp, then antenna.  Only uniform linear arrays round-trip through this
-format; the spacing is reconstructed into a centered ULA on load.
+chirp, then antenna.  That is `RadarCube`'s own antenna-major storage, so
+writing casts the samples as they lie and reading only widens them to
+complex128, with no reordering.  Only uniform linear arrays
+round-trip through this format; the spacing is reconstructed into a
+centered ULA on load.  Every malformed file, header or payload, raises
+FormatError.
 """
 
 import struct
@@ -64,8 +68,8 @@ def write_cube(path, cube: RadarCube) -> None:
         cfg.sample_rate_hz,
         spacing,
     ).ljust(HEADER_SIZE, b"\x00")
-    # (fast, chirp, ant) -> fast fastest-varying means antenna-major storage
-    data = np.ascontiguousarray(cube.samples.transpose(2, 1, 0)).astype(np.complex64)
+    # the cube's antenna-major storage is the payload order
+    data = cube.samples.transpose(2, 1, 0).astype(np.complex64)
     Path(path).write_bytes(header + data.tobytes())
 
 
@@ -95,7 +99,10 @@ def read_cube(path) -> RadarCube:
         raise FormatError(f"{path}: invalid header values: {exc}") from exc
     flat = np.frombuffer(raw, dtype="<c8", offset=HEADER_SIZE)
     samples = flat.reshape(n_ant, n_chirp, n_fast).transpose(2, 1, 0)
-    return RadarCube(samples.astype(np.complex128), config, geometry)
+    try:
+        return RadarCube(samples, config, geometry)  # widened to complex128 in one copy
+    except DomainError as exc:
+        raise FormatError(f"{path}: invalid payload: {exc}") from exc
 
 
 def chirp_config_from_document(doc: dict) -> ChirpConfig:

@@ -23,6 +23,7 @@ Per-antenna phases are two-way (4*pi/lambda), i.e. each element is
 treated as the phase center of its own round trip.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +51,11 @@ class ChirpConfig:
     chirps_per_frame: int = 64
 
     def __post_init__(self):
-        if self.carrier_frequency_hz <= 0:
-            raise DomainError("carrier frequency must be positive")
-        if self.bandwidth_hz <= 0 or self.slope_hz_per_s <= 0 or self.sample_rate_hz <= 0:
-            raise DomainError("bandwidth, slope and sample rate must be positive")
+        if not (math.isfinite(self.carrier_frequency_hz) and self.carrier_frequency_hz > 0):
+            raise DomainError("carrier frequency must be positive and finite")
+        rates = (self.bandwidth_hz, self.slope_hz_per_s, self.sample_rate_hz)
+        if not all(math.isfinite(x) and x > 0 for x in rates):
+            raise DomainError("bandwidth, slope and sample rate must be positive and finite")
         if self.samples_per_chirp < 2 or self.chirps_per_frame < 1:
             raise DomainError("need at least 2 samples per chirp and 1 chirp")
         if self.chirp_duration_s + 1e-15 < self.samples_per_chirp / self.sample_rate_hz:
@@ -92,6 +94,8 @@ class ArrayGeometry:
         pos = np.asarray(self.element_positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise DomainError("element_positions must have shape (N, 3)")
+        if not np.all(np.isfinite(pos)):
+            raise DomainError("element positions must be finite")
         if pos.shape[0] < 2:
             raise DomainError("array needs at least 2 elements")
         if len({tuple(p) for p in pos.round(12)}) != pos.shape[0]:
@@ -154,14 +158,21 @@ class SceneTarget:
 
 @dataclass(frozen=True)
 class RadarCube:
-    """Complex baseband samples shaped [fast_time, chirp, antenna]."""
+    """Complex baseband samples shaped [fast_time, chirp, antenna].
+
+    Storage is antenna-major, the layout of a cube file: `samples` is
+    always a view whose `transpose(2, 1, 0)` is a C-contiguous
+    [antenna, chirp, fast_time] array, so each antenna's chirps are
+    contiguous rows.  Samples in any other layout are copied into it once,
+    here; antenna-major samples are kept without a copy.
+    """
 
     samples: np.ndarray
     config: ChirpConfig
     geometry: ArrayGeometry
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
+        s = np.asarray(self.samples)
         expected = (
             self.config.samples_per_chirp,
             self.config.chirps_per_frame,
@@ -169,9 +180,10 @@ class RadarCube:
         )
         if s.shape != expected:
             raise DomainError(f"cube shape {s.shape} does not match config {expected}")
-        if not np.all(np.isfinite(s)):
+        by_antenna = np.ascontiguousarray(s.transpose(2, 1, 0), dtype=np.complex128)
+        if not np.all(np.isfinite(by_antenna)):
             raise DomainError("cube contains non-finite samples")
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", by_antenna.transpose(2, 1, 0))
 
 
 def beat_frequency(range_m: float, config: ChirpConfig) -> float:
@@ -213,7 +225,9 @@ def synthesize_frame(
     Doppler phase increment, and exact two-way per-antenna geometric
     phases.  Back-facing facets contribute nothing.  `phase_offsets_rad`
     injects per-antenna hardware phase errors (calibration fixtures).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  The cube is built in antenna-major
+    memory; the noise is drawn in [fast, chirp, antenna] order and added
+    through a transposed view, so the samples do not depend on the layout.
     """
     if noise_power_w < 0:
         raise DomainError("noise power must be >= 0")
@@ -222,7 +236,7 @@ def synthesize_frame(
     positions = geometry.element_positions
     n_ant = geometry.element_count
 
-    cube = np.zeros((n_fast, n_chirp, n_ant), dtype=np.complex128)
+    cube = np.zeros((n_ant, n_chirp, n_fast), dtype=np.complex128)  # antenna-major
     lam = config.wavelength_m
     fast_idx = np.arange(n_fast)
     chirp_idx = np.arange(n_chirp)
@@ -260,19 +274,19 @@ def synthesize_frame(
         )
         dists = np.linalg.norm(positions - v, axis=1)
         ant = np.exp(-4j * np.pi * dists / lam)
-        cube += amplitude * fast[:, None, None] * slow[None, :, None] * ant[None, None, :]
+        cube += amplitude * fast[None, None, :] * slow[None, :, None] * ant[:, None, None]
 
     if phase_offsets_rad is not None:
         offsets = np.asarray(phase_offsets_rad, dtype=float)
         if offsets.shape != (n_ant,):
             raise DomainError("phase offsets must provide one value per antenna")
-        cube *= np.exp(1j * offsets)[None, None, :]
+        cube *= np.exp(1j * offsets)[:, None, None]
 
     if noise_power_w > 0:
         rng = np.random.default_rng(rng_seed)
         scale = np.sqrt(noise_power_w / 2.0)
-        cube = cube + scale * (
-            rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
-        )
+        shape = (n_fast, n_chirp, n_ant)
+        noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        cube += noise.transpose(2, 1, 0)
 
-    return RadarCube(cube, config, geometry)
+    return RadarCube(cube.transpose(2, 1, 0), config, geometry)

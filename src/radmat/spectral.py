@@ -136,12 +136,14 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     With a gate [lo, hi] m only the range rows inside it are kept after the
     range FFT, and the Doppler FFT, shift and antenna sum run on those rows
     alone; with none the map holds every row.  The FFTs run one antenna at
-    a time along contiguous axes: the zero-padded range FFT along the last
-    axis of the antenna's contiguous [chirp, fast] block, then the Doppler
-    FFT along the last axis of the contiguous [range, chirp] transpose of
-    the kept rows.  Each 1-D transform sees the same samples as a
-    whole-cube FFT along axis 0 and then axis 1 would, so a row is
-    bit-identical whether or not the map is gated.
+    a time along contiguous axes: the antenna's [chirp, fast] rows, which
+    are contiguous in the cube's antenna-major storage, are copied into one
+    zero-padded [chirp, range] block, reused for every antenna, and
+    range-FFT'd along its last axis; then the Doppler FFT runs along the
+    last axis of the contiguous [range, chirp] transpose of the kept rows.
+    Each 1-D transform sees the same samples as a whole-cube FFT along
+    axis 0 and then axis 1 would, so a row is bit-identical whether or not
+    the map is gated.
     """
     cfg = cube.config
     if cfg.chirps_per_frame < 2:
@@ -150,10 +152,12 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     lo, hi = (0, n_fft_r) if gate_m is None else _gate_rows(gate_m, range_bin_m, n_fft_r)
     n_fft_d = _next_pow2(cfg.chirps_per_frame)
     half = n_fft_d // 2  # n_fft_d is even, so fftshift swaps two equal halves
-    spectra = np.empty((cube.samples.shape[2], hi - lo, n_fft_d), dtype=complex)
-    for a, spectrum in enumerate(spectra):  # spectrum: [range, doppler] of antenna a
-        chirps = np.ascontiguousarray(cube.samples[:, :, a].T)  # [chirp, fast]
-        by_range = np.fft.fft(chirps, n=n_fft_r, axis=1)[:, lo:hi]
+    by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
+    chirps = np.zeros((cfg.chirps_per_frame, n_fft_r), dtype=complex)  # zero-padded
+    spectra = np.empty((by_antenna.shape[0], hi - lo, n_fft_d), dtype=complex)
+    for samples, spectrum in zip(by_antenna, spectra):  # spectrum: [range, doppler]
+        chirps[:, : cfg.samples_per_chirp] = samples
+        by_range = np.fft.fft(chirps, axis=1)[:, lo:hi]
         doppler = np.fft.fft(np.ascontiguousarray(by_range.T), n=n_fft_d, axis=1)
         spectrum[:, :half] = doppler[:, half:]
         spectrum[:, half:] = doppler[:, :half]
@@ -173,7 +177,13 @@ def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad
 
 
 def range_angle(cube: RadarCube, angle_grid_rad=None) -> RangeAngleMap:
-    """Beamform the zero-Doppler range spectra over an azimuth grid."""
+    """Beamform the zero-Doppler range spectra over an azimuth grid.
+
+    The FFT is linear, so the chirps are averaged first, over the
+    contiguous rows of the cube's antenna-major storage, into a
+    zero-padded [antenna, range] block that is range-FFT'd along its last
+    axis.
+    """
     if cube.geometry.element_count < 2:
         raise DomainError("beamforming needs at least 2 antennas")
     grid = DEFAULT_ANGLE_GRID_RAD if angle_grid_rad is None else np.asarray(angle_grid_rad, float)
@@ -181,10 +191,12 @@ def range_angle(cube: RadarCube, angle_grid_rad=None) -> RangeAngleMap:
         raise DomainError("angle grid must not be empty")
     cfg = cube.config
     n_fft_r, range_bin_m = _range_axis(cfg)
-    chirp_mean = cube.samples.mean(axis=1)  # the FFT is linear: average chirps first
-    spectra = np.fft.fft(chirp_mean, n=n_fft_r, axis=0)  # (R, N)
+    by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
+    chirp_mean = np.zeros((cube.geometry.element_count, n_fft_r), dtype=complex)
+    np.mean(by_antenna, axis=1, out=chirp_mean[:, : cfg.samples_per_chirp])
+    spectra = np.fft.fft(chirp_mean, axis=1)  # (N, R)
     weights = steering_matrix(cube.geometry, cfg.wavelength_m, grid)  # (N, G)
-    magnitudes = np.abs(spectra @ weights)
+    magnitudes = np.abs(spectra.T @ weights)
     return RangeAngleMap(magnitudes, grid, range_bin_m)
 
 

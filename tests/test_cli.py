@@ -1,3 +1,5 @@
+import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -173,6 +175,30 @@ class TestExtract:
              "--gate", "0.1", "0.6", "-o", str(tmp_path / "f.json")]
         )
         assert code == EXIT_FORMAT
+
+    @pytest.mark.parametrize(
+        "offset, nan",
+        [
+            pytest.param(20, struct.pack("<d", math.nan), id="carrier_frequency_hz"),
+            pytest.param(44, struct.pack("<d", math.nan), id="sample_rate_hz"),
+            pytest.param(52, struct.pack("<d", math.nan), id="antenna_spacing_m"),
+            pytest.param(64 + 8 * 1000, struct.pack("<f", math.nan), id="payload"),
+        ],
+    )
+    def test_nan_in_cube_file_exits_format(
+        self, tmp_path, fixture_position, frame_factory, profile_path, offset, nan, capsys
+    ):
+        cube_path = tmp_path / "nan.rcub"
+        write_cube(cube_path, frame_factory([make_plate(fixture_position, 4.0)], seed=61))
+        raw = bytearray(cube_path.read_bytes())
+        raw[offset : offset + len(nan)] = nan
+        cube_path.write_bytes(bytes(raw))
+        code = main(
+            ["extract", str(cube_path), "--profile", profile_path,
+             "--gate", "0.1", "0.6", "-o", str(tmp_path / "f.json")]
+        )
+        assert code == EXIT_FORMAT
+        assert "format" in capsys.readouterr().err
 
     def test_debug_dumps_intermediates(
         self, tmp_path, fixture_position, frame_factory, profile_path

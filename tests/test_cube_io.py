@@ -1,7 +1,12 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from radmat import FormatError, synthesize_frame
+from radmat import ChirpConfig, FormatError, default_geometry, synthesize_frame
 from radmat.cube_io import load_scene, read_cube, write_cube
 from radmat.errors import DocumentError
 from radmat.docio import write_document
@@ -56,6 +61,65 @@ def test_truncated_header_rejected(tmp_path):
     path.write_bytes(b"RCUB\x01")
     with pytest.raises(FormatError):
         read_cube(path)
+
+
+# A small valid cube file: 8 samples x 2 chirps x 2 antennas, float32 pairs.
+_SMALL_CONFIG = ChirpConfig(samples_per_chirp=8, chirps_per_frame=2)
+_HEADER_FLOATS = {
+    "carrier_frequency_hz": 20,
+    "bandwidth_hz": 28,
+    "slope_hz_per_s": 36,
+    "sample_rate_hz": 44,
+    "antenna_spacing_m": 52,
+}
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.fixture(scope="module")
+def valid_cube_bytes(tmp_path_factory):
+    target = make_plate([0.0, 0.0, 0.3], 4.0)
+    cube = synthesize_frame(
+        [target], _SMALL_CONFIG, default_geometry(_SMALL_CONFIG, 2), 1e-6, 5
+    )
+    path = tmp_path_factory.mktemp("valid") / "small.rcub"
+    write_cube(path, cube)
+    read_cube(path)  # the uncorrupted file loads
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def corrupt_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt") / "corrupt.rcub"
+
+
+class TestCorruptCubesRaiseFormatError:
+    """Every corrupt or truncated cube file raises FormatError, and nothing else."""
+
+    @given(data=st.data())
+    def test_any_truncation(self, valid_cube_bytes, corrupt_path, data):
+        length = data.draw(st.integers(0, len(valid_cube_bytes) - 1), label="length")
+        corrupt_path.write_bytes(valid_cube_bytes[:length])
+        with pytest.raises(FormatError):
+            read_cube(corrupt_path)
+
+    @given(field=st.sampled_from(sorted(_HEADER_FLOATS)), value=st.sampled_from(_NON_FINITE))
+    def test_non_finite_header_float(self, valid_cube_bytes, corrupt_path, field, value):
+        raw = bytearray(valid_cube_bytes)
+        offset = _HEADER_FLOATS[field]
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        corrupt_path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="header"):
+            read_cube(corrupt_path)
+
+    @given(data=st.data())
+    def test_nan_at_any_payload_offset(self, valid_cube_bytes, corrupt_path, data):
+        floats = (len(valid_cube_bytes) - 64) // 4
+        index = data.draw(st.integers(0, floats - 1), label="float32 index")
+        raw = bytearray(valid_cube_bytes)
+        raw[64 + 4 * index : 68 + 4 * index] = struct.pack("<f", math.nan)
+        corrupt_path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_cube(corrupt_path)
 
 
 def _scene_doc(config):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,9 @@ from radmat import (
     ArrayGeometry,
     ChirpConfig,
     DomainError,
+    RadarCube,
     SceneError,
+    SceneTarget,
     beat_frequency,
     default_geometry,
     fresnel_amplitude,
@@ -30,6 +34,14 @@ class TestChirpConfig:
         with pytest.raises(DomainError):
             ChirpConfig(slope_hz_per_s=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["carrier_frequency_hz", "bandwidth_hz", "slope_hz_per_s", "sample_rate_hz"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            ChirpConfig(**{field: value})
+
     def test_rejects_sampling_window_longer_than_chirp(self):
         # 700 samples at 10 MHz = 70 us > B/S = 60 us
         with pytest.raises(DomainError):
@@ -49,6 +61,14 @@ class TestArrayGeometry:
     def test_rejects_duplicate_positions(self):
         with pytest.raises(DomainError):
             ArrayGeometry(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_positions(self, value):
+        positions = np.array([[0.0, 0.0, 0.0], [0.001, 0.0, value]])
+        with pytest.raises(DomainError, match="finite"):
+            ArrayGeometry(positions)
+        with pytest.raises(DomainError):
+            ArrayGeometry.uniform_linear(4, value)
 
 
 class TestBeatFrequency:
@@ -156,3 +176,96 @@ class TestSynthesizeFrame:
         geo = default_geometry(config, 8)
         spacing = np.diff(geo.element_positions[:, 0])
         assert np.allclose(spacing, config.wavelength_m / 4.0)
+
+
+def _c_order_frame(scene, config, geometry, noise_power_w, rng_seed, phase_offsets_rad=None):
+    """Reference: the [fast, chirp, antenna] C-order construction of the samples."""
+    n_fast, n_chirp = config.samples_per_chirp, config.chirps_per_frame
+    lam = config.wavelength_m
+    cube = np.zeros((n_fast, n_chirp, geometry.element_count), dtype=np.complex128)
+    for target in scene:
+        v, rng_m = target.position_m, target.range_m
+        facing = float(np.dot(target.facet_normal, -v / rng_m))
+        psi = float(np.arccos(np.clip(facing, 0.0, 1.0)))
+        amplitude = (
+            abs(fresnel_amplitude(target.dielectric_constant, psi))
+            * np.sqrt(target.facet_area_m2)
+            * facing**2.0
+            / rng_m**2
+        )
+        f_beat = beat_frequency(rng_m, config)
+        fast = np.exp(2j * np.pi * f_beat * np.arange(n_fast) / config.sample_rate_hz)
+        slow = np.exp(
+            -4j * np.pi * target.radial_velocity_m_s * config.chirp_duration_s
+            * np.arange(n_chirp) / lam
+        )
+        ant = np.exp(-4j * np.pi * np.linalg.norm(geometry.element_positions - v, axis=1) / lam)
+        cube += amplitude * fast[:, None, None] * slow[None, :, None] * ant[None, None, :]
+    if phase_offsets_rad is not None:
+        cube *= np.exp(1j * np.asarray(phase_offsets_rad, dtype=float))[None, None, :]
+    if noise_power_w > 0:
+        rng = np.random.default_rng(rng_seed)
+        scale = np.sqrt(noise_power_w / 2.0)
+        cube = cube + scale * (
+            rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
+        )
+    return cube
+
+
+SHAPES = [
+    pytest.param((600, 64, 8), id="600x64x8"),
+    pytest.param((256, 128, 12), id="256x128x12"),
+    pytest.param((513, 100, 5), id="513x100x5"),
+]
+
+
+def _antenna_major(samples) -> bool:
+    return samples.transpose(2, 1, 0).flags.c_contiguous
+
+
+class TestAntennaMajorStorage:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("noise_power_w", [0.0, 1e-2], ids=["noise-off", "noise-on"])
+    @pytest.mark.parametrize("offsets", [False, True], ids=["no-offsets", "phase-offsets"])
+    def test_synthesize_frame_matches_c_order_construction(self, shape, noise_power_w, offsets):
+        n_fast, n_chirp, n_ant = shape
+        config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
+        geometry = default_geometry(config, element_count=n_ant)
+        scene = [
+            make_plate([0.05, 0.0, 0.3], 4.0),
+            SceneTarget(
+                position_m=np.array([-0.1, 0.0, 0.5]),
+                radial_velocity_m_s=-1.0,
+                dielectric_constant=2.5,
+                facet_normal=np.array([0.6, 0.0, -0.8]),
+            ),
+        ]
+        phase_offsets = np.linspace(-1.0, 1.0, n_ant) if offsets else None
+        cube = synthesize_frame(
+            scene, config, geometry, noise_power_w, 5, phase_offsets_rad=phase_offsets
+        )
+        assert _antenna_major(cube.samples)
+        reference = _c_order_frame(scene, config, geometry, noise_power_w, 5, phase_offsets)
+        np.testing.assert_array_equal(cube.samples, reference)
+
+    def test_c_ordered_samples_copied_once_into_antenna_major(self, config, geometry):
+        shape = (config.samples_per_chirp, config.chirps_per_frame, geometry.element_count)
+        samples = np.random.default_rng(1).standard_normal(shape) + 0j
+        cube = RadarCube(samples, config, geometry)
+        assert _antenna_major(cube.samples)
+        assert not np.shares_memory(cube.samples, samples)
+        np.testing.assert_array_equal(cube.samples, samples)
+
+    def test_antenna_major_samples_kept_without_copy(self, config, geometry):
+        shape = (geometry.element_count, config.chirps_per_frame, config.samples_per_chirp)
+        by_antenna = np.random.default_rng(2).standard_normal(shape) + 0j
+        cube = RadarCube(by_antenna.transpose(2, 1, 0), config, geometry)
+        assert np.shares_memory(cube.samples, by_antenna)
+        assert _antenna_major(cube.samples)
+
+    def test_non_finite_sample_rejected(self, config, geometry):
+        shape = (config.samples_per_chirp, config.chirps_per_frame, geometry.element_count)
+        samples = np.zeros(shape, complex)
+        samples[3, 2, 1] = complex(0.0, math.nan)
+        with pytest.raises(DomainError, match="non-finite"):
+            RadarCube(samples, config, geometry)

@@ -184,6 +184,32 @@ class TestRangeAngle:
             np.argmax(ra.magnitudes, axis=1), np.argmax(reference, axis=1)
         )
 
+    @pytest.mark.parametrize(
+        "shape, via_file",
+        [
+            pytest.param((600, 64, 8), False, id="600x64x8"),
+            pytest.param((256, 128, 12), False, id="256x128x12"),
+            pytest.param((513, 100, 5), False, id="513x100x5-padded"),
+            pytest.param((600, 64, 8), True, id="600x64x8-rcub"),
+        ],
+    )
+    def test_bit_identical_to_fast_time_major_formula(self, shape, via_file, tmp_path):
+        n_fast, n_chirp, n_ant = shape
+        config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
+        geometry = default_geometry(config, element_count=n_ant)
+        cube = synthesize_frame([make_plate([0.05, 0.0, 0.3], 4.0)], config, geometry, 1e-2, 9)
+        if via_file:
+            write_cube(tmp_path / "frame.rcub", cube)
+            cube = read_cube(tmp_path / "frame.rcub")
+        ra = range_angle(cube)
+        # reference: the chirp mean of [fast, chirp, antenna] C-ordered samples,
+        # range-FFT'd along axis 0 with n= padding
+        samples = np.ascontiguousarray(cube.samples)
+        n_fft = 1 << (n_fast - 1).bit_length()
+        weights = steering_matrix(cube.geometry, cube.config.wavelength_m, ra.angle_grid_rad)
+        reference = np.abs(np.fft.fft(samples.mean(axis=1), n_fft, axis=0) @ weights)
+        np.testing.assert_array_equal(ra.magnitudes, reference)
+
     def test_true_angle_beats_angles_two_hpbw_away(self, config, geometry):
         hpbw = half_power_beamwidth_rad(geometry, config.wavelength_m)
         cube = _single_target_cube(config, geometry, 0.25, angle_rad=0.0)

@@ -58,7 +58,7 @@ from .spectral import (
     range_angle,
     range_doppler,
 )
-from .synthesis import SynthesisResult, focus, surface_tilt, synthesize
+from .synthesis import SynthesisResult, focus, synthesize
 from .vlm import HttpProvider, MockProvider, ProviderConfig, VisualQuery, propose
 
 __version__ = "0.1.0"

@@ -31,26 +31,38 @@ import numpy as np
 
 from .docio import read_document, require
 from .errors import DocumentError, DomainError, FormatError
-from .signal_model import ArrayGeometry, ChirpConfig, RadarCube, SceneTarget
+from .signal_model import ArrayGeometry, ChirpConfig, RadarCube, SceneTarget, default_geometry
 
 MAGIC = b"RCUB"
 VERSION = 1
 HEADER_SIZE = 64
 _HEADER = struct.Struct("<4sIIIIddddd")  # 52 bytes, padded to 64
+# optional scene-target keys with their casts; an absent key keeps SceneTarget's default
+_OPTIONAL_TARGET_KEYS = {
+    "radial_velocity_m_s": float, "facet_normal": np.asarray, "facet_area_m2": float, "label": str
+}
 
 
 def _ula_spacing(geometry: ArrayGeometry) -> float:
+    """Of the mean step (x[-1] - x[0]) / (n - 1) and its two one-ULP
+    neighbours, the spacing from which `ArrayGeometry.uniform_linear`
+    rebuilds the element positions most closely (for a centered ULA,
+    bit-exactly; the first step x[1] - x[0] often is not exact)."""
     pos = geometry.element_positions
-    deltas = np.diff(pos[:, 0])
-    spacing = deltas[0] if len(deltas) else 0.0
-    is_ula = (
+    x = pos[:, 0]
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    if not (
         np.allclose(pos[:, 1:], 0.0, atol=1e-12)
-        and spacing > 0
-        and np.allclose(deltas, spacing, atol=1e-12)
-    )
-    if not is_ula:
+        and step > 0
+        and np.allclose(np.diff(x), step, atol=1e-12)
+    ):
         raise DomainError("cube files only support uniform linear arrays along x")
-    return float(spacing)
+    candidates = (step, np.nextafter(step, 0.0), np.nextafter(step, np.inf))
+    errors = [
+        np.max(np.abs(ArrayGeometry.uniform_linear(len(x), s).element_positions[:, 0] - x))
+        for s in candidates
+    ]
+    return float(candidates[int(np.argmin(errors))])
 
 
 def write_cube(path, cube: RadarCube) -> None:
@@ -124,8 +136,9 @@ def geometry_from_document(doc: dict, config: ChirpConfig) -> ArrayGeometry:
         if "positions_m" in doc:
             return ArrayGeometry(np.asarray(doc["positions_m"], dtype=float))
         count = int(require(doc, "element_count", "array"))
-        spacing = float(doc.get("spacing_m", config.wavelength_m / 4.0))
-        return ArrayGeometry.uniform_linear(count, spacing)
+        if "spacing_m" in doc:
+            return ArrayGeometry.uniform_linear(count, float(doc["spacing_m"]))
+        return default_geometry(config, count)
     except DomainError as exc:
         raise DocumentError(f"array: {exc}") from exc
 
@@ -140,19 +153,15 @@ def load_scene(path):
     geometry = geometry_from_document(require(doc, "array", "scene"), config)
     targets = []
     for i, entry in enumerate(require(doc, "targets", "scene")):
+        optional = {k: cast(entry[k]) for k, cast in _OPTIONAL_TARGET_KEYS.items() if k in entry}
         try:
             targets.append(
                 SceneTarget(
                     position_m=np.asarray(require(entry, "position_m", f"target {i}"), float),
-                    radial_velocity_m_s=float(entry.get("radial_velocity_m_s", 0.0)),
                     dielectric_constant=float(
                         require(entry, "dielectric_constant", f"target {i}")
                     ),
-                    facet_normal=np.asarray(
-                        entry.get("facet_normal", [0.0, 0.0, -1.0]), float
-                    ),
-                    facet_area_m2=float(entry.get("facet_area_m2", 0.01)),
-                    label=str(entry.get("label", "")),
+                    **optional,
                 )
             )
         except DomainError as exc:

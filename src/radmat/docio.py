@@ -41,7 +41,7 @@ def read_document(path) -> dict:
     return doc
 
 
-def require(document: dict, key: str, context: str = "document"):
+def require(document: dict, key: str, context: str):
     """Fetch a mandatory key, raising DocumentError when absent."""
     if key not in document:
         raise DocumentError(f"{context}: missing required field '{key}'")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .docio import check_keys, from_document, to_document
 from .errors import DomainError
-from .knowledge import RadarCandidateSet
+from .knowledge import RadarCandidateSet, check_candidates
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,7 @@ class VisualContext:
         ):
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{label} must lie in [0, 1]")
-        if not self.candidates:
-            raise DomainError("visual candidate list must not be empty")
-        if abs(sum(p for _, p in self.candidates) - 1.0) > 1e-9:
-            raise DomainError("visual probabilities must sum to 1")
+        check_candidates(self.candidates, "visual candidate")
         object.__setattr__(self, "candidates", tuple(tuple(c) for c in self.candidates))
 
     @property

@@ -37,15 +37,25 @@ class MaterialRecord:
         if self.epsilon_std < 0.0:
             raise DomainError(f"{self.name}: std must be >= 0")
 
-    def interval_distance(self, epsilon: float, widen: float = 0.0) -> float:
+    def interval_distance(self, epsilon: float, widen: float) -> float:
         """Distance from epsilon to the interval widened by `widen` on each side."""
         lo = self.epsilon_low - widen
         hi = self.epsilon_high + widen
-        if epsilon < lo:
-            return lo - epsilon
-        if epsilon > hi:
-            return epsilon - hi
-        return 0.0
+        return max(lo - epsilon, epsilon - hi, 0.0)
+
+
+def check_candidates(candidates, label: str) -> None:
+    """Raise DomainError unless ``candidates`` is a non-empty ((name, p), ...)
+    sequence of probabilities in [0, 1] that sum to 1, in descending order."""
+    if not candidates:
+        raise DomainError(f"{label} list must not be empty")
+    probs = [p for _, p in candidates]
+    if not all(0.0 <= p <= 1.0 for p in probs):
+        raise DomainError(f"{label} probabilities must lie in [0, 1]")
+    if abs(sum(probs) - 1.0) > 1e-9:
+        raise DomainError(f"{label} probabilities must sum to 1")
+    if any(a < b - 1e-12 for a, b in zip(probs, probs[1:])):
+        raise DomainError(f"{label}s must be ordered by descending probability")
 
 
 @dataclass(frozen=True)
@@ -56,14 +66,7 @@ class RadarCandidateSet:
     measured_epsilon: float
 
     def __post_init__(self):
-        if not self.candidates:
-            raise DomainError("candidate set must not be empty")
-        total = sum(score for _, score in self.candidates)
-        if abs(total - 1.0) > 1e-9:
-            raise DomainError("candidate scores must sum to 1")
-        scores = [score for _, score in self.candidates]
-        if any(a < b - 1e-12 for a, b in zip(scores, scores[1:])):
-            raise DomainError("candidates must be ordered by descending score")
+        check_candidates(self.candidates, "radar candidate")
 
     @property
     def names(self) -> tuple:

@@ -4,7 +4,7 @@ These functions are the programmatic form of the CLI subcommands so that
 library users and tests can drive the identical chain.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .calibration import CalibrationProfile, calibrate_plate, calibrate_sphere, measure
 from .dielectric import EmFeatureVector, extract_features
@@ -75,20 +75,6 @@ def extract_from_cube(
     return ExtractionResult(features, detection, m.synthesis, m.region, ra_map)
 
 
-def radar_context_from_features(
-    features: EmFeatureVector,
-    candidates: RadarCandidateSet,
-    max_distance_m: float,
-) -> RadarContext:
-    return RadarContext(
-        snr_linear=features.snr_linear,
-        distance_m=features.range_m,
-        max_distance_m=max_distance_m,
-        incidence_angle_rad=abs(features.angle_rad),
-        candidates=candidates,
-    )
-
-
 @dataclass(frozen=True)
 class PipelineOutcome:
     decision: FusionDecision
@@ -121,12 +107,13 @@ def run_identification(
     pruned = prune_visual(
         visual.candidates, features.dielectric_constant, store, tolerance_sigma
     )
-    pruned_visual = VisualContext(
-        luminance=visual.luminance,
-        complexity=visual.complexity,
-        vlm_entropy=visual.vlm_entropy,
-        candidates=tuple(pruned),
+    pruned_visual = replace(visual, candidates=tuple(pruned))
+    radar_ctx = RadarContext(
+        snr_linear=features.snr_linear,
+        distance_m=features.range_m,
+        max_distance_m=max_distance_m,
+        incidence_angle_rad=abs(features.angle_rad),
+        candidates=radar_candidates,
     )
-    radar_ctx = radar_context_from_features(features, radar_candidates, max_distance_m)
     decision = decide(pruned_visual, radar_ctx, fusion_config)
     return PipelineOutcome(decision, features, radar_candidates, pruned_visual)

@@ -44,16 +44,12 @@ class PrcaRegion:
         }
 
 
-def extract_region(ra_map: RangeAngleMap, seed=None):
+def extract_region(ra_map: RangeAngleMap, seed):
     """Half-power connected component containing the seed cell.
 
     Returns (cells, peak_index, threshold), where peak_index is the seed.
-    Without a seed the region grows from the global peak, whose ties
-    break toward the lowest (range_bin, angle_bin) in row-major order.
     """
     mags = ra_map.magnitudes
-    if seed is None:
-        seed = np.unravel_index(int(np.argmax(mags)), mags.shape)
     peak_index = tuple(int(v) for v in seed)
     peak_value = float(mags[peak_index])
     if peak_value <= 0.0:
@@ -113,7 +109,7 @@ def region_area(cells, ra_map: RangeAngleMap) -> float:
     )
 
 
-def compute_prca(ra_map: RangeAngleMap, seed=None) -> PrcaRegion:
+def compute_prca(ra_map: RangeAngleMap, seed) -> PrcaRegion:
     cells, peak_index, threshold = extract_region(ra_map, seed)
     return PrcaRegion(
         cell_indices=cells,

@@ -38,6 +38,9 @@ DEFAULT_BANDWIDTH_HZ = 3.96e9
 DEFAULT_SLOPE_HZ_PER_S = 66.0e12  # 66 MHz/us
 DEFAULT_SAMPLE_RATE_HZ = 10.0e6
 
+# n_facet of the amplitude law: the facet's cos(psi) falloff exponent
+FACET_EXPONENT = 2.0
+
 
 @dataclass(frozen=True)
 class ChirpConfig:
@@ -72,11 +75,6 @@ class ChirpConfig:
     @property
     def chirp_duration_s(self) -> float:
         return self.bandwidth_hz / self.slope_hz_per_s
-
-    @property
-    def sampled_bandwidth_hz(self) -> float:
-        """Bandwidth actually swept while the ADC samples."""
-        return self.slope_hz_per_s * self.samples_per_chirp / self.sample_rate_hz
 
     @property
     def unambiguous_range_m(self) -> float:
@@ -217,7 +215,6 @@ def synthesize_frame(
     rng_seed: int,
     *,
     phase_offsets_rad=None,
-    facet_exponent: float = 2.0,
 ) -> RadarCube:
     """Generate one frame of multi-antenna baseband echoes.
 
@@ -259,7 +256,7 @@ def synthesize_frame(
         amplitude = (
             abs(fresnel_amplitude(target.dielectric_constant, psi))
             * np.sqrt(target.facet_area_m2)
-            * facing**facet_exponent
+            * facing**FACET_EXPONENT
             / rng_m**2
         )
         f_beat = beat_frequency(rng_m, config)

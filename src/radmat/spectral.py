@@ -176,40 +176,23 @@ def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad
     return np.exp(-4j * np.pi * proj / wavelength_m)
 
 
-def range_angle(cube: RadarCube, angle_grid_rad=None) -> RangeAngleMap:
-    """Beamform the zero-Doppler range spectra over an azimuth grid.
+def range_angle(cube: RadarCube) -> RangeAngleMap:
+    """Beamform the zero-Doppler range spectra over `DEFAULT_ANGLE_GRID_RAD`.
 
     The FFT is linear, so the chirps are averaged first, over the
     contiguous rows of the cube's antenna-major storage, into a
     zero-padded [antenna, range] block that is range-FFT'd along its last
     axis.
     """
-    if cube.geometry.element_count < 2:
-        raise DomainError("beamforming needs at least 2 antennas")
-    grid = DEFAULT_ANGLE_GRID_RAD if angle_grid_rad is None else np.asarray(angle_grid_rad, float)
-    if grid.size == 0:
-        raise DomainError("angle grid must not be empty")
     cfg = cube.config
     n_fft_r, range_bin_m = _range_axis(cfg)
     by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
     chirp_mean = np.zeros((cube.geometry.element_count, n_fft_r), dtype=complex)
     np.mean(by_antenna, axis=1, out=chirp_mean[:, : cfg.samples_per_chirp])
     spectra = np.fft.fft(chirp_mean, axis=1)  # (N, R)
-    weights = steering_matrix(cube.geometry, cfg.wavelength_m, grid)  # (N, G)
+    weights = steering_matrix(cube.geometry, cfg.wavelength_m, DEFAULT_ANGLE_GRID_RAD)  # (N, G)
     magnitudes = np.abs(spectra.T @ weights)
-    return RangeAngleMap(magnitudes, grid, range_bin_m)
-
-
-def half_power_beamwidth_rad(geometry: ArrayGeometry, wavelength_m: float) -> float:
-    """Numeric HPBW of the boresight beam under two-way steering phases."""
-    grid = np.radians(np.linspace(-90.0, 90.0, 18001))
-    pattern = np.abs(steering_matrix(geometry, wavelength_m, grid).sum(axis=0))
-    center = int(np.argmax(pattern))
-    below = np.flatnonzero(pattern < pattern.max() / np.sqrt(2.0))
-    left, right = below[below < center], below[below > center]
-    lo = left[-1] + 1 if left.size else 0
-    hi = right[0] - 1 if right.size else grid.size - 1
-    return float(grid[hi] - grid[lo])
+    return RangeAngleMap(magnitudes, DEFAULT_ANGLE_GRID_RAD, range_bin_m)
 
 
 def detect_target(

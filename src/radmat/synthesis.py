@@ -11,8 +11,7 @@ Given the calibrated, phase-focused per-antenna signals I_j at a voxel v:
 
 w_j is the projection of I_j onto the direction of S, so sum(w_j) == |S|
 exactly; incoherent antennas receive small or negative weights and are
-kept as-is.  The direction of S_w encodes the surface slope seen by the
-array, its magnitude the coherent signal strength.
+kept as-is.  The magnitude of S_w is the coherent signal strength.
 """
 
 from dataclasses import dataclass
@@ -71,8 +70,6 @@ def synthesize(
     n = geometry.element_count
     if signals.shape != (n,):
         raise DomainError("need one focused signal per antenna")
-    if n < 2:
-        raise DomainError("synthesis needs at least 2 antennas")
     if noise_power_w <= 0:
         raise DomainError("noise power must be positive")
 
@@ -103,16 +100,3 @@ def synthesize(
         coherence_factor=coherence,
         enhanced_snr_linear=snr,
     )
-
-
-def surface_tilt(result: SynthesisResult) -> float:
-    """Signed in-plane angle of the reconstructed surface orientation.
-
-    The unit vectors run from the target back toward the array, so for a
-    front-facing surface S_w points along -z; the tilt is measured from
-    that radar-pointing direction, positive toward +x antennas.
-    """
-    vec = result.weighted_vector
-    if np.linalg.norm(vec) == 0:
-        raise DomainError("weighted vector is zero; tilt undefined")
-    return float(np.arctan2(vec[0], -vec[2]))

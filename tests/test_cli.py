@@ -308,6 +308,22 @@ class TestFuse:
                 "-o", str(tmp_path / "decision.json")]
         assert main(argv) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize(
+        "context, candidates",
+        [
+            pytest.param("visual", [["paper", -0.5], ["metal", 1.5]], id="visual-outside-0-1"),
+            pytest.param("visual", [["paper", 0.4], ["metal", 0.6]], id="visual-ascending"),
+            pytest.param("radar", [["metal", 1.5], ["paper", -0.5]], id="radar-outside-0-1"),
+        ],
+    )
+    def test_invalid_candidate_probabilities_rejected(self, tmp_path, context, candidates):
+        vpath, rpath = _write_contexts(tmp_path)
+        path = vpath if context == "visual" else rpath
+        write_document(path, {**read_document(path), "candidates": candidates})
+        argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath),
+                "-o", str(tmp_path / "decision.json")]
+        assert main(argv) == EXIT_DOMAIN
+
 
 class TestPipeline:
     def _run(self, tmp_path, config, profile_path, provider_path, scene, image, extra=()):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import struct
 
@@ -6,7 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radmat import ChirpConfig, FormatError, default_geometry, synthesize_frame
+from radmat import (
+    ArrayGeometry,
+    ChirpConfig,
+    FormatError,
+    SceneTarget,
+    default_geometry,
+    synthesize_frame,
+)
 from radmat.cube_io import load_scene, read_cube, write_cube
 from radmat.errors import DocumentError
 from radmat.docio import write_document
@@ -29,6 +38,22 @@ def test_round_trip_preserves_samples_and_config(tmp_path, sample_cube):
     assert np.allclose(
         loaded.geometry.element_positions, sample_cube.geometry.element_positions
     )
+
+
+@pytest.mark.parametrize("carrier_hz", [24e9, 60e9, 61.25e9, 77e9, 79e9, 122e9])
+def test_round_trip_rebuilds_ula_positions_exactly(tmp_path, carrier_hz):
+    # 31 element counts x 4 spacings per carrier; x[1] - x[0] as the written
+    # spacing rebuilds only 119 of these 744 arrays exactly
+    config = ChirpConfig(
+        carrier_frequency_hz=carrier_hz, samples_per_chirp=2, chirps_per_frame=1
+    )
+    for fraction in (0.25, 0.37, 0.5, 1.0):
+        for count in range(2, 33):
+            geometry = ArrayGeometry.uniform_linear(count, config.wavelength_m * fraction)
+            path = tmp_path / f"ula_{fraction}_{count}.rcub"
+            write_cube(path, synthesize_frame([], config, geometry, 0.0, 1))
+            loaded = read_cube(path).geometry.element_positions
+            assert np.array_equal(loaded, geometry.element_positions), (fraction, count)
 
 
 def test_magic_bytes_present(tmp_path, sample_cube):
@@ -89,7 +114,11 @@ def valid_cube_bytes(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def corrupt_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("corrupt") / "corrupt.rcub"
+    """A new file path per call: rewriting one file in place can wait on a
+    data flush for longer than Hypothesis's per-example deadline."""
+    directory = tmp_path_factory.mktemp("corrupt")
+    names = itertools.count()
+    return lambda: directory / f"corrupt_{next(names)}.rcub"
 
 
 class TestCorruptCubesRaiseFormatError:
@@ -98,18 +127,20 @@ class TestCorruptCubesRaiseFormatError:
     @given(data=st.data())
     def test_any_truncation(self, valid_cube_bytes, corrupt_path, data):
         length = data.draw(st.integers(0, len(valid_cube_bytes) - 1), label="length")
-        corrupt_path.write_bytes(valid_cube_bytes[:length])
+        path = corrupt_path()
+        path.write_bytes(valid_cube_bytes[:length])
         with pytest.raises(FormatError):
-            read_cube(corrupt_path)
+            read_cube(path)
 
     @given(field=st.sampled_from(sorted(_HEADER_FLOATS)), value=st.sampled_from(_NON_FINITE))
     def test_non_finite_header_float(self, valid_cube_bytes, corrupt_path, field, value):
         raw = bytearray(valid_cube_bytes)
         offset = _HEADER_FLOATS[field]
         raw[offset : offset + 8] = struct.pack("<d", value)
-        corrupt_path.write_bytes(bytes(raw))
+        path = corrupt_path()
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="header"):
-            read_cube(corrupt_path)
+            read_cube(path)
 
     @given(data=st.data())
     def test_nan_at_any_payload_offset(self, valid_cube_bytes, corrupt_path, data):
@@ -117,9 +148,10 @@ class TestCorruptCubesRaiseFormatError:
         index = data.draw(st.integers(0, floats - 1), label="float32 index")
         raw = bytearray(valid_cube_bytes)
         raw[64 + 4 * index : 68 + 4 * index] = struct.pack("<f", math.nan)
-        corrupt_path.write_bytes(bytes(raw))
+        path = corrupt_path()
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="non-finite"):
-            read_cube(corrupt_path)
+            read_cube(path)
 
 
 def _scene_doc(config):
@@ -157,6 +189,20 @@ def test_scene_document_round_trip(tmp_path, config):
     # default array spacing is a quarter wavelength
     spacing = np.diff(geometry.element_positions[:, 0])
     assert np.allclose(spacing, cfg.wavelength_m / 4.0)
+
+
+def test_omitted_target_keys_keep_scene_target_defaults(tmp_path, config):
+    doc = _scene_doc(config)
+    doc["targets"] = [{"position_m": [0.0, 0.1, 0.3], "dielectric_constant": 4.0}]
+    path = tmp_path / "scene.json"
+    write_document(path, doc)
+    (target,), _, geometry, _, _ = load_scene(path)
+    expected = SceneTarget(np.array([0.0, 0.1, 0.3]), dielectric_constant=4.0)
+    for field in dataclasses.fields(SceneTarget):
+        assert np.array_equal(getattr(target, field.name), getattr(expected, field.name))
+    np.testing.assert_array_equal(
+        geometry.element_positions, default_geometry(config, 8).element_positions
+    )
 
 
 def test_scene_document_missing_field(tmp_path, config):

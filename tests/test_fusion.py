@@ -204,6 +204,19 @@ class TestContextsValidation:
         with pytest.raises(DomainError):
             VisualContext(1.5, 0.5, 0.5, (("glass", 1.0),))
 
+    @pytest.mark.parametrize(
+        "candidates",
+        [(("paper", -0.5), ("metal", 1.5)), (("paper", 0.4), ("metal", 0.6))],
+        ids=["outside-0-1", "ascending"],
+    )
+    def test_visual_candidates_must_be_probabilities_in_descending_order(self, candidates):
+        with pytest.raises(DomainError):
+            VisualContext(0.5, 0.5, 0.5, candidates)
+
+    def test_radar_candidates_must_be_probabilities(self):
+        with pytest.raises(DomainError):
+            RadarCandidateSet((("metal", 1.5), ("paper", -0.5)), 5.0)
+
     def test_radar_distance_bounds(self):
         with pytest.raises(DomainError):
             _radar([("metal", 1.0)], d=6.0, dmax=5.0)

@@ -28,51 +28,42 @@ class TestExtractRegion:
     def test_single_cell_spike(self):
         mags = np.zeros((5, 5))
         mags[2, 3] = 1.0
-        cells, peak, threshold = extract_region(_map(mags))
+        cells, peak, threshold = extract_region(_map(mags), (2, 3))
         assert cells == ((2, 3),)
         assert peak == (2, 3)
         assert threshold == pytest.approx(1.0 / np.sqrt(2.0))
-
-    def test_two_equal_blobs_only_peak_component(self):
-        mags = np.zeros((7, 7))
-        mags[1, 1] = mags[1, 2] = 1.0  # first blob in row-major order
-        mags[5, 5] = mags[5, 6] = 1.0
-        cells, peak, _ = extract_region(_map(mags))
-        # global-peak tie breaks to the lowest linear index
-        assert peak == (1, 1)
-        assert cells == ((1, 1), (1, 2))
 
     def test_seed_grows_region_from_seed_cell(self):
         mags = np.zeros((7, 7))
         mags[1, 1] = mags[1, 2] = 1.0  # global peak
         mags[5, 4], mags[5, 5], mags[5, 6] = 0.3, 0.5, 0.4
-        cells, peak, threshold = extract_region(_map(mags), seed=(5, 5))
+        cells, peak, threshold = extract_region(_map(mags), (5, 5))
         assert peak == (5, 5)
         assert cells == ((5, 5), (5, 6))
         assert threshold == pytest.approx(0.5 / np.sqrt(2.0))
-        assert compute_prca(_map(mags), seed=(5, 5)).cell_indices == cells
+        assert compute_prca(_map(mags), (5, 5)).cell_indices == cells
 
     def test_zero_seed_cell_rejected(self):
         mags = np.zeros((3, 3))
         mags[1, 1] = 1.0
         with pytest.raises(DomainError):
-            extract_region(_map(mags), seed=(0, 0))
+            extract_region(_map(mags), (0, 0))
 
     def test_plateau_exactly_at_threshold_included(self):
         level = 1.0 / np.sqrt(2.0)
         mags = np.zeros((3, 5))
         mags[1] = [0.0, level, 1.0, level, 0.0]
-        cells, _, _ = extract_region(_map(mags))
+        cells, _, _ = extract_region(_map(mags), (1, 2))
         assert cells == ((1, 1), (1, 2), (1, 3))
 
     def test_all_zero_map_rejected(self):
         with pytest.raises(DomainError):
-            extract_region(_map(np.zeros((3, 3))))
+            extract_region(_map(np.zeros((3, 3))), (1, 1))
 
     def test_sidelobe_below_threshold_excluded(self):
         mags = np.zeros((3, 7))
         mags[1] = [0.0, 0.5, 0.0, 1.0, 0.9, 0.0, 0.6]
-        cells, _, _ = extract_region(_map(mags))
+        cells, _, _ = extract_region(_map(mags), (1, 3))
         assert cells == ((1, 3), (1, 4))
 
 
@@ -193,7 +184,7 @@ class TestComputePrca:
     def test_region_object_consistent(self):
         mags = np.zeros((9, 9))
         mags[4, 3:6] = [0.8, 1.0, 0.8]
-        region = compute_prca(_map(mags))
+        region = compute_prca(_map(mags), (4, 4))
         assert region.peak_index == (4, 4)
         assert set(region.cell_indices) == {(4, 3), (4, 4), (4, 5)}
         assert region.area_m2 > 0
@@ -201,6 +192,6 @@ class TestComputePrca:
     def test_area_invariant_under_uniform_scaling(self):
         mags = np.zeros((9, 9))
         mags[4, 3:6] = [0.8, 1.0, 0.8]
-        a = compute_prca(_map(mags)).area_m2
-        b = compute_prca(_map(mags * 5.0)).area_m2
+        a = compute_prca(_map(mags), (4, 4)).area_m2
+        b = compute_prca(_map(mags * 5.0), (4, 4)).area_m2
         assert a == b

@@ -26,7 +26,6 @@ class TestChirpConfig:
     def test_defaults_consistent(self, config):
         assert config.wavelength_m == pytest.approx(0.005)
         assert config.chirp_duration_s == pytest.approx(60e-6)
-        assert config.sampled_bandwidth_hz == pytest.approx(3.96e9)
 
     def test_rejects_non_positive_parameters(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,6 @@ from radmat import (
     DomainError,
     default_geometry,
     focus,
-    surface_tilt,
     synthesize,
     synthesize_frame,
 )
@@ -142,20 +141,3 @@ class TestSynthesize:
         result = synthesize(focused, geometry, detection_voxel(det), profile.noise_power_w)
         raw = np.max(np.abs(det.gated_signal) ** 2) / profile.noise_power_w
         assert result.enhanced_snr_linear >= raw
-
-
-class TestSurfaceTilt:
-    def test_symmetric_weights_zero_tilt(self, small_geometry):
-        result = synthesize(np.full(8, 1.0 + 0j), small_geometry, VOXEL, 1e-3)
-        assert surface_tilt(result) == pytest.approx(0.0, abs=1e-12)
-
-    def test_ramped_weights_positive_tilt(self, small_geometry):
-        amplitudes = np.linspace(0.2, 1.0, 8)
-        result = synthesize(amplitudes.astype(complex), small_geometry, VOXEL, 1e-3)
-        assert surface_tilt(result) > 0.0
-
-    def test_mirrored_weights_negate_tilt(self, small_geometry):
-        amplitudes = np.linspace(0.2, 1.0, 8)
-        a = synthesize(amplitudes.astype(complex), small_geometry, VOXEL, 1e-3)
-        b = synthesize(amplitudes[::-1].astype(complex), small_geometry, VOXEL, 1e-3)
-        assert surface_tilt(a) == pytest.approx(-surface_tilt(b), rel=1e-9)

@@ -39,7 +39,10 @@ HEADER_SIZE = 64
 _HEADER = struct.Struct("<4sIIIIddddd")  # 52 bytes, padded to 64
 # optional scene-target keys with their casts; an absent key keeps SceneTarget's default
 _OPTIONAL_TARGET_KEYS = {
-    "radial_velocity_m_s": float, "facet_normal": np.asarray, "facet_area_m2": float, "label": str
+    "radial_velocity_m_s": float,
+    "facet_normal": lambda v: np.asarray(v, float),
+    "facet_area_m2": float,
+    "label": str,
 }
 
 
@@ -101,9 +104,7 @@ def read_cube(path) -> RadarCube:
         raise FormatError(f"{path}: unsupported version {version}")
     expected = HEADER_SIZE + n_fast * n_chirp * n_ant * 8
     if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload size {len(raw)} does not match header dimensions"
-        )
+        raise FormatError(f"{path}: payload size {len(raw)} does not match header dimensions")
     try:
         config = ChirpConfig(f0, bw, slope, fs, n_fast, n_chirp)
         geometry = ArrayGeometry.uniform_linear(n_ant, spacing)
@@ -153,8 +154,8 @@ def load_scene(path):
     geometry = geometry_from_document(require(doc, "array", "scene"), config)
     targets = []
     for i, entry in enumerate(require(doc, "targets", "scene")):
-        optional = {k: cast(entry[k]) for k, cast in _OPTIONAL_TARGET_KEYS.items() if k in entry}
         try:
+            optional = {k: cast(entry[k]) for k, cast in _OPTIONAL_TARGET_KEYS.items() if k in entry}
             targets.append(
                 SceneTarget(
                     position_m=np.asarray(require(entry, "position_m", f"target {i}"), float),

@@ -142,7 +142,7 @@ class SceneTarget:
             raise DomainError("position and facet normal must be 3-vectors")
         if self.dielectric_constant < 1.0:
             raise DomainError("dielectric constant must be >= 1")
-        if abs(np.linalg.norm(nrm) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(nrm) - 1.0) <= 1e-9:  # also rejects NaN
             raise DomainError("facet normal must be a unit vector")
         if self.facet_area_m2 <= 0:
             raise DomainError("facet area must be positive")

@@ -92,6 +92,14 @@ class TestSimulate:
         assert "plate" in capsys.readouterr().err
 
 
+    def test_null_facet_normal_exits_format(self, tmp_path, config, fixture_position, capsys):
+        entry = {**plate_entry(fixture_position, 4.0), "facet_normal": None}
+        path = tmp_path / "scene.json"
+        write_document(path, scene_doc(config, [entry]))
+        assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
+        assert "target 0" in capsys.readouterr().err
+
+
 class TestCalibrateCommand:
     def test_sphere_plate_noise_cube_chain(
         self, tmp_path, config, geometry, fixture_position, frame_factory

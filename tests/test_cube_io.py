@@ -221,3 +221,13 @@ def test_scene_document_invalid_target(tmp_path, config):
     write_document(path, doc)
     with pytest.raises(DocumentError, match="target 0"):
         load_scene(path)
+
+
+@pytest.mark.parametrize("normal", [None, [0.0, None, -1.0]])
+def test_scene_document_null_facet_normal(tmp_path, config, normal):
+    doc = _scene_doc(config)
+    doc["targets"][0]["facet_normal"] = normal
+    path = tmp_path / "scene.json"
+    write_document(path, doc)
+    with pytest.raises(DocumentError, match="target 0"):
+        load_scene(path)

@@ -60,6 +60,10 @@ class TestDielectricFromFresnel:
         recovered = dielectric_from_fresnel(fresnel_amplitude(eps, theta), theta)
         assert recovered == pytest.approx(eps, rel=1e-6)
 
+    def test_strictly_increasing_at_normal_incidence(self):
+        values = [dielectric_from_fresnel(r, 0.0) for r in np.linspace(0.0, 0.95, 150)]
+        assert np.all(np.diff(values) > 0)
+
     def test_strictly_increasing_in_true_epsilon_below_45_degrees(self):
         # the measured r_p is a magnitude, as in the simulator's amplitude law
         true_eps = np.linspace(1.0, 80.0, 2000).tolist()

@@ -79,7 +79,7 @@ def shoelace_area(vertices) -> float:
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise DomainError("shoelace needs at least 3 ordered 2D vertices")
     x, y = pts[:, 0], pts[:, 1]
-    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    return float(0.5 * abs(np.sum(x * np.roll(y, -1)) - np.sum(np.roll(x, -1) * y)))
 
 
 def _angle_edges(grid: np.ndarray) -> np.ndarray:

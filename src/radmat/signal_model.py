@@ -151,7 +151,7 @@ class SceneTarget:
 
     @property
     def range_m(self) -> float:
-        return float(np.linalg.norm(self.position_m))
+        return math.sqrt(np.sum(self.position_m * self.position_m))
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def synthesize_frame(
                 f"{name}: range {rng_m:.3f} m exceeds the unambiguous range "
                 f"{config.unambiguous_range_m:.3f} m"
             )
-        facing = float(np.dot(target.facet_normal, -v / rng_m))
+        facing = float(np.sum(target.facet_normal * (-v / rng_m)))
         if facing <= 0:
             continue
         psi = float(np.arccos(np.clip(facing, 0.0, 1.0)))

@@ -1,11 +1,14 @@
 """Range-Doppler / range-angle maps, beamforming, and target gating.
 
-Both FFT axes are zero-padded to the next power of two.  The beamformer
-is conventional delay-and-sum with two-way steering phases matching the
-echo model, exp(-j*4*pi*(p_j . u(theta))/lambda), so a target appears at
-its true azimuth.
+Both spectral axes are sampled as if zero-padded to the next power of
+two.  A map of few range rows, such as the distance gate's, computes
+those rows as a direct DFT; a wider map takes the padded range FFT.  The
+beamformer is conventional delay-and-sum with two-way steering phases
+matching the echo model, exp(-j*4*pi*(p_j . u(theta))/lambda), so a
+target appears at its true azimuth.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +18,9 @@ from .signal_model import SPEED_OF_LIGHT, ArrayGeometry, RadarCube
 
 DEFAULT_ANGLE_GRID_RAD = np.radians(np.linspace(-90.0, 90.0, 181))
 DEFAULT_THRESHOLD_DB = 12.0
+# maps of fewer range rows than this take the direct DFT of those rows;
+# from here on the padded FFT, whose cost does not grow with the rows, wins
+DFT_CROSSOVER_ROWS = 80
 
 
 def _next_pow2(n: int) -> int:
@@ -25,6 +31,25 @@ def _range_axis(cfg) -> tuple[int, float]:
     """Zero-padded range FFT size and the range width of one padded bin."""
     n_fft_r = _next_pow2(cfg.samples_per_chirp)
     return n_fft_r, SPEED_OF_LIGHT * cfg.sample_rate_hz / (2.0 * cfg.slope_hz_per_s * n_fft_r)
+
+
+def _twiddles(n: int) -> np.ndarray:
+    """exp(-2j*pi*m/n) for m = 0..n-1, n a power of two.
+
+    Only the first octant is evaluated, with `math.cos`/`math.sin`; the
+    rest follows from the circle's exact symmetries, so the table does
+    not depend on numpy's SIMD math and m = n/4 is exactly -1j.
+    """
+    size = max(n, 8)
+    eighth = size // 8
+    angles = [2.0 * math.pi * m / size for m in range(eighth + 1)]
+    cos = np.array([math.cos(a) for a in angles])
+    sin = np.array([math.sin(a) for a in angles])
+    # the first quadrant: cos(pi/2 - a) = sin(a)
+    quadrant = np.concatenate([cos, sin[eighth - 1 : 0 : -1]]) - 1j * np.concatenate(
+        [sin, cos[eighth - 1 : 0 : -1]]
+    )
+    return np.concatenate([quadrant, -1j * quadrant, -quadrant, 1j * quadrant])[:: size // n]
 
 
 def _gate_rows(gate_m, range_bin_m: float, range_bins: int) -> tuple[int, int]:
@@ -63,6 +88,7 @@ class RangeDopplerMap:
     per_antenna: np.ndarray
     first_range_bin: int
     full_range_bins: int
+    cube: RadarCube  # the samples, for `detect_target`'s cell readout
 
     def __post_init__(self):
         if np.any(self.magnitudes < 0) or not np.all(np.isfinite(self.magnitudes)):
@@ -130,20 +156,39 @@ class TargetDetection:
             raise DomainError("gated signal must be non-zero")
 
 
-def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
-    """2D FFT over fast time then chirps, magnitudes summed over antennas.
+def _range_rows(cube: RadarCube, lo: int, hi: int, n_fft_r: int):
+    """Each antenna's [chirp, row] range spectra of padded range rows lo..hi-1.
 
-    With a gate [lo, hi] m only the range rows inside it are kept after the
-    range FFT, and the Doppler FFT, shift and antenna sum run on those rows
-    alone; with none the map holds every row.  The FFTs run one antenna at
-    a time along contiguous axes: the antenna's [chirp, fast] rows, which
-    are contiguous in the cube's antenna-major storage, are copied into one
-    zero-padded [chirp, range] block, reused for every antenna, and
-    range-FFT'd along its last axis; then the Doppler FFT runs along the
-    last axis of the contiguous [range, chirp] transpose of the kept rows.
-    Each 1-D transform sees the same samples as a whole-cube FFT along
-    axis 0 and then axis 1 would, so a row is bit-identical whether or not
-    the map is gated.
+    Fewer than `DFT_CROSSOVER_ROWS` rows come from one product
+    [antenna*chirp, fast] @ E[fast, rows], E[n, k] = exp(-2j*pi*n*k/n_fft_r)
+    taken from `_twiddles` at the exact index (n*k) mod n_fft_r; more
+    rows come from the range FFT of each antenna's contiguous chirps,
+    copied into one zero-padded block.
+    """
+    cfg = cube.config
+    by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
+    if hi - lo < DFT_CROSSOVER_ROWS:
+        index = np.outer(np.arange(cfg.samples_per_chirp), np.arange(lo, hi)) % n_fft_r
+        rows = by_antenna.reshape(-1, cfg.samples_per_chirp) @ _twiddles(n_fft_r)[index]
+        yield from rows.reshape(by_antenna.shape[0], cfg.chirps_per_frame, hi - lo)
+        return
+    chirps = np.zeros((cfg.chirps_per_frame, n_fft_r), dtype=complex)  # zero-padded
+    for samples in by_antenna:
+        chirps[:, : cfg.samples_per_chirp] = samples
+        yield np.fft.fft(chirps, axis=1)[:, lo:hi]
+
+
+def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
+    """Range spectrum then Doppler FFT over chirps, magnitudes summed over antennas.
+
+    With a gate [lo, hi] m the map holds only the range rows inside it;
+    with none it holds every row.  `_range_rows` picks the strategy by the
+    row count: a gate's few rows come from a direct DFT, equal to the
+    padded FFT's rows to rounding (tested within 1e-12 of the map peak),
+    and a wide map from the padded FFT, so a row is bit-identical in every
+    map of at least `DFT_CROSSOVER_ROWS` rows.  The Doppler FFT, shift and
+    antenna sum run one antenna at a time on the held rows alone, along
+    the last axis of their contiguous [range, chirp] transpose.
     """
     cfg = cube.config
     if cfg.chirps_per_frame < 2:
@@ -152,20 +197,32 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     lo, hi = (0, n_fft_r) if gate_m is None else _gate_rows(gate_m, range_bin_m, n_fft_r)
     n_fft_d = _next_pow2(cfg.chirps_per_frame)
     half = n_fft_d // 2  # n_fft_d is even, so fftshift swaps two equal halves
-    by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
-    chirps = np.zeros((cfg.chirps_per_frame, n_fft_r), dtype=complex)  # zero-padded
-    spectra = np.empty((by_antenna.shape[0], hi - lo, n_fft_d), dtype=complex)
-    for samples, spectrum in zip(by_antenna, spectra):  # spectrum: [range, doppler]
-        chirps[:, : cfg.samples_per_chirp] = samples
-        by_range = np.fft.fft(chirps, axis=1)[:, lo:hi]
+    spectra = np.empty((cube.geometry.element_count, hi - lo, n_fft_d), dtype=complex)
+    for by_range, spectrum in zip(_range_rows(cube, lo, hi, n_fft_r), spectra):
         doppler = np.fft.fft(np.ascontiguousarray(by_range.T), n=n_fft_d, axis=1)
         spectrum[:, :half] = doppler[:, half:]
         spectrum[:, half:] = doppler[:, :half]
     magnitudes = np.abs(spectra).sum(axis=0)
     velocity_bin_m_s = cfg.wavelength_m / (2.0 * n_fft_d * cfg.chirp_duration_s)
     return RangeDopplerMap(
-        magnitudes, range_bin_m, velocity_bin_m_s, spectra.transpose(1, 2, 0), lo, n_fft_r
+        magnitudes, range_bin_m, velocity_bin_m_s, spectra.transpose(1, 2, 0), lo, n_fft_r, cube
     )
+
+
+def _cell_signal(cube: RadarCube, range_bin: int, doppler_bin: int) -> np.ndarray:
+    """Per-antenna spectrum at one (range, shifted Doppler) cell, without BLAS.
+
+    The range row is a non-BLAS `einsum` against `_twiddles`, summed in
+    one fixed order, and the Doppler step is the FFT over the chirps, so
+    the bytes do not depend on the BLAS kernel the CPU selects.
+    """
+    cfg = cube.config
+    n_fft_r = _range_axis(cfg)[0]
+    n_fft_d = _next_pow2(cfg.chirps_per_frame)
+    twiddles = _twiddles(n_fft_r)[np.arange(cfg.samples_per_chirp) * range_bin % n_fft_r]
+    by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
+    by_chirp = np.einsum("acn,n->ac", by_antenna, twiddles, optimize=False)
+    return np.fft.fft(by_chirp, n=n_fft_d, axis=1)[:, (doppler_bin + n_fft_d // 2) % n_fft_d]
 
 
 def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad) -> np.ndarray:
@@ -204,9 +261,11 @@ def detect_target(
     """Strongest gated cell, at least `threshold_db` over the gate rows' median.
 
     The threshold is `threshold_db` above the median of the gate's range
-    rows, so a full map and a map gated to the same gate give the same
-    detection.  A gated `rd_map` must hold every row of the gate.  Raises
-    NoTargetError when nothing inside the gate clears the threshold.
+    rows.  A gated `rd_map` must hold every row of the gate.  The gated
+    signal is not read from the map but from the map's cube by
+    `_cell_signal`, so it has the same bytes for a full and a gated map
+    and on every BLAS kernel.  Raises NoTargetError when nothing inside
+    the gate clears the threshold.
     """
     lo, hi = _gate_rows(gate_m, rd_map.range_bin_m, rd_map.full_range_bins)
     first = rd_map.first_range_bin
@@ -234,7 +293,7 @@ def detect_target(
         range_bin=r_bin,
         angle_bin=a_bin,
         doppler_bin=int(d_bin),
-        gated_signal=rd_map.per_antenna[r_bin - first, d_bin, :].copy(),
+        gated_signal=_cell_signal(rd_map.cube, r_bin, int(d_bin)),
     )
 
 

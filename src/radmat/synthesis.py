@@ -89,7 +89,7 @@ def synthesize(
 
     power = float(np.sum(np.abs(signals) ** 2))
     coherence = float(np.clip(magnitude**2 / (n * power), 0.0, 1.0))
-    snr = float(weighted_vector @ weighted_vector) / noise_power_w * coherence
+    snr = float(np.sum(weighted_vector * weighted_vector)) / noise_power_w * coherence
 
     return SynthesisResult(
         focused_signals=signals,

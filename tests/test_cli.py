@@ -1,9 +1,14 @@
 import math
+import os
+import platform
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import radmat
 from radmat.cli import (
     EXIT_CALIBRATION,
     EXIT_DOMAIN,
@@ -21,9 +26,24 @@ from radmat.pipeline import calibrate_from_cubes
 from radmat.spectral import range_doppler
 from conftest import FIXTURE_NOISE_W, make_plate
 
+try:  # numpy >= 2
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+
 DATA_DIR = Path(__file__).parent / "data"
 VLM_FIXTURES = DATA_DIR / "vlm_fixtures.json"
 GOLDEN_B7 = DATA_DIR / "golden" / "b7_decision.json"
+# OpenBLAS x86-64 kernels that OPENBLAS_CORETYPE can force, with the CPU
+# features each needs; a CPU without AVX-512 picks Haswell or Zen
+OPENBLAS_KERNELS = {
+    "SkylakeX": ("AVX512_SKX",),
+    "Haswell": ("AVX2", "FMA3"),
+    "Zen": ("AVX2", "FMA3"),
+    "Sandybridge": ("AVX",),
+    "Nehalem": ("SSE42",),
+    "Prescott": ("SSE3",),
+}
 
 
 def scene_doc(config, targets, noise_power_w=FIXTURE_NOISE_W, seed=77):
@@ -399,6 +419,27 @@ class TestPipeline:
         assert code == EXIT_OK
         assert out.read_bytes() == GOLDEN_B7.read_bytes()
         assert read_document(out)["material"] == "metal"
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 OpenBLAS kernels"
+    )
+    @pytest.mark.parametrize("kernel", list(OPENBLAS_KERNELS))
+    def test_b7_golden_under_every_openblas_kernel(self, tmp_path, kernel):
+        # calibration and the b7 pipeline, run again in a fresh process whose
+        # OpenBLAS is forced onto `kernel`, still write the golden bytes
+        if not all(CPU_FEATURES.get(f) for f in OPENBLAS_KERNELS[kernel]):
+            pytest.skip(f"this CPU cannot run the {kernel} kernel")
+        test_id = f"{Path(__file__).name}::TestPipeline::test_b7_known_failure_golden"
+        # the child imports the same radmat as this process
+        path = [str(Path(radmat.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--basetemp", str(tmp_path / "run"), test_id],
+            cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
     def test_byte_stable_across_runs(
         self, tmp_path, config, fixture_position, profile_path, provider_path

@@ -184,7 +184,7 @@ def _c_order_frame(scene, config, geometry, noise_power_w, rng_seed, phase_offse
     cube = np.zeros((n_fast, n_chirp, geometry.element_count), dtype=np.complex128)
     for target in scene:
         v, rng_m = target.position_m, target.range_m
-        facing = float(np.dot(target.facet_normal, -v / rng_m))
+        facing = float(np.sum(target.facet_normal * (-v / rng_m)))
         psi = float(np.arccos(np.clip(facing, 0.0, 1.0)))
         amplitude = (
             abs(fresnel_amplitude(target.dielectric_constant, psi))

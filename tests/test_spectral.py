@@ -20,7 +20,7 @@ from radmat import (
 from radmat.calibration import estimate_noise_power
 from radmat.cube_io import read_cube, write_cube
 from radmat.pipeline import detect
-from radmat.spectral import steering_matrix
+from radmat.spectral import DFT_CROSSOVER_ROWS, steering_matrix
 from conftest import FIXTURE_NOISE_W, GATE_M, make_plate, padded_range_bin_m
 
 
@@ -49,6 +49,35 @@ def _single_target_cube(
         facet_area_m2=0.04,
     )
     return synthesize_frame([target], config, geometry, noise_power_w, seed)
+
+
+SHAPES = [
+    pytest.param((600, 64, 8), id="600x64x8"),
+    pytest.param((256, 128, 12), id="256x128x12"),
+    pytest.param((513, 100, 5), id="513x100x5-padded"),
+    pytest.param((600, 2, 8), id="600x2x8-min-chirps"),
+]
+
+
+def _plate_cube(shape):
+    n_fast, n_chirp, n_ant = shape
+    config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
+    geometry = default_geometry(config, element_count=n_ant)
+    target = make_plate([0.05, 0.0, 0.3], 4.0)
+    return synthesize_frame([target], config, geometry, FIXTURE_NOISE_W, 5)
+
+
+def _assert_rows_match(gated, full, lo, hi):
+    """The gated map's rows are the full map's rows lo..hi-1: bit for bit
+    when both come from the padded FFT, within 1e-12 of the map peak when
+    the gated rows come from the direct DFT."""
+    if hi - lo >= DFT_CROSSOVER_ROWS:
+        np.testing.assert_array_equal(gated.per_antenna, full.per_antenna[lo:hi])
+        np.testing.assert_array_equal(gated.magnitudes, full.magnitudes[lo:hi])
+    else:
+        bound = 1e-12 * np.max(full.magnitudes)
+        assert np.max(np.abs(gated.per_antenna - full.per_antenna[lo:hi])) <= bound
+        assert np.max(np.abs(gated.magnitudes - full.magnitudes[lo:hi])) <= bound
 
 
 def _whole_cube_range_doppler(samples):
@@ -286,34 +315,41 @@ class TestGatedMap:
     """The gated map holds the full map's gate rows, and detection on it
     matches detection on the full maps."""
 
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            pytest.param((600, 64, 8), id="600x64x8"),
-            pytest.param((256, 128, 12), id="256x128x12"),
-            pytest.param((513, 100, 5), id="513x100x5-padded"),
-            pytest.param((600, 2, 8), id="600x2x8-min-chirps"),
-        ],
-    )
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_rows_equal_full_map_rows(self, shape):
-        n_fast, n_chirp, n_ant = shape
-        config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
-        geometry = default_geometry(config, element_count=n_ant)
-        target = make_plate([0.05, 0.0, 0.3], 4.0)
-        cube = synthesize_frame([target], config, geometry, FIXTURE_NOISE_W, 5)
+        cube = _plate_cube(shape)
         full = range_doppler(cube)
         bin_m = full.range_bin_m
         lo, hi = math.ceil(GATE_M[0] / bin_m), math.floor(GATE_M[1] / bin_m) + 1
         gated = range_doppler(cube, GATE_M)
         assert (gated.first_range_bin, gated.full_range_bins) == (lo, full.magnitudes.shape[0])
         assert (full.first_range_bin, full.full_range_bins) == (0, full.magnitudes.shape[0])
-        np.testing.assert_array_equal(gated.per_antenna, full.per_antenna[lo:hi])
-        np.testing.assert_array_equal(gated.magnitudes, full.magnitudes[lo:hi])
+        _assert_rows_match(gated, full, lo, hi)
         doc = gated.to_document()
         assert (doc["first_range_bin"], doc["range_bins"], doc["full_range_bins"]) == (
             lo, hi - lo, full.magnitudes.shape[0]
         )
         assert "first_range_bin" not in full.to_document()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize(
+        "rows",
+        [1, DFT_CROSSOVER_ROWS - 1, DFT_CROSSOVER_ROWS, DFT_CROSSOVER_ROWS + 1, None],
+        ids=["1", "crossover-1", "crossover", "crossover+1", "full"],
+    )
+    def test_dft_and_fft_rows_agree_across_crossover(self, shape, rows):
+        cube = _plate_cube(shape)
+        full = range_doppler(cube)
+        n, bin_m = full.full_range_bins, full.range_bin_m
+        rows = n if rows is None else rows
+        # a window of `rows` rows around the target, gate edges half a bin out
+        peak_row = int(np.argmax(full.magnitudes.max(axis=1)))
+        lo = min(max(peak_row - rows // 2, 0), n - rows)
+        hi = lo + rows
+        gate = (max(lo - 0.5, 0.0) * bin_m, (hi - 0.5) * bin_m if hi < n else n * bin_m)
+        gated = range_doppler(cube, gate)
+        assert (gated.first_range_bin, gated.magnitudes.shape[0]) == (lo, rows)
+        _assert_rows_match(gated, full, lo, hi)
 
     @pytest.mark.parametrize(
         "velocity, gate_bins, rows",
@@ -342,6 +378,18 @@ class TestGatedMap:
         np.testing.assert_array_equal(det.gated_signal, full.gated_signal)
         if velocity:
             assert det.velocity_m_s == pytest.approx(velocity, abs=rd.velocity_bin_m_s)
+
+    @pytest.mark.parametrize("velocity", [0.0, 0.65, -1.0])
+    def test_gated_signal_is_the_full_map_cell(self, config, geometry, velocity):
+        # read from the cube without BLAS, it is the map's cell to rounding
+        cube = _single_target_cube(
+            config, geometry, 0.3, velocity=velocity, noise_power_w=FIXTURE_NOISE_W
+        )
+        full = range_doppler(cube)
+        det = detect_target(full, range_angle(cube), GATE_M)
+        assert (det.doppler_bin == full.zero_doppler_bin) == (velocity == 0.0)
+        cell = full.per_antenna[det.range_bin, det.doppler_bin]
+        assert np.max(np.abs(det.gated_signal - cell)) <= 1e-12 * np.max(np.abs(cell))
 
     def test_out_of_gate_plate(self, config, geometry):
         position = 0.8 * np.array([0.0, 0.0, 1.0])

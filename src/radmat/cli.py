@@ -32,7 +32,7 @@ from .errors import (
     SceneError,
 )
 from .fusion import FusionConfig, RadarContext, VisualContext, decide
-from .spectral import DEFAULT_THRESHOLD_DB, range_doppler
+from .spectral import DEFAULT_THRESHOLD_DB, range_angle, range_doppler
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -118,7 +118,7 @@ def cmd_extract(args) -> int:
     if args.debug:
         base = os.path.splitext(args.output)[0]
         docio.write_document(f"{base}.rd_map.json", range_doppler(cube).to_document())
-        docio.write_document(f"{base}.ra_map.json", result.ra_map.to_document())
+        docio.write_document(f"{base}.ra_map.json", range_angle(cube).to_document())
         docio.write_document(f"{base}.synthesis.json", result.synthesis.to_document())
         docio.write_document(f"{base}.prca.json", result.region.to_document())
     print(

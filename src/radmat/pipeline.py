@@ -18,8 +18,7 @@ from .spectral import (
     RangeAngleMap,
     RangeDopplerMap,
     TargetDetection,
-    detect_target,
-    range_angle,
+    detect_gated,
     range_doppler,
 )
 from .synthesis import SynthesisResult
@@ -31,16 +30,19 @@ class ExtractionResult:
     detection: TargetDetection
     synthesis: SynthesisResult
     region: PrcaRegion
-    ra_map: RangeAngleMap
 
 
 def detect(
     cube: RadarCube, gate_m, threshold_db: float = DEFAULT_THRESHOLD_DB
 ) -> tuple[RangeDopplerMap, RangeAngleMap, TargetDetection]:
-    """Gated range-Doppler map, range-angle map and strongest gated target of one frame."""
+    """Gated range-Doppler map, range-angle map and strongest gated target of one frame.
+
+    Both maps hold the gate's range rows and a margin for the PRCA region;
+    the range-angle map is those rows beamformed at the detected Doppler bin.
+    """
     rd_map = range_doppler(cube, gate_m)
-    ra_map = range_angle(cube)
-    return rd_map, ra_map, detect_target(rd_map, ra_map, gate_m, threshold_db)
+    ra_map, detection = detect_gated(rd_map, gate_m, threshold_db)
+    return rd_map, ra_map, detection
 
 
 def calibrate_from_cubes(
@@ -72,7 +74,7 @@ def extract_from_cube(
     _, ra_map, detection = detect(cube, gate_m, threshold_db)
     m = measure(detection, ra_map, cube.geometry, cube.config, profile)
     features = extract_features(m, profile)
-    return ExtractionResult(features, detection, m.synthesis, m.region, ra_map)
+    return ExtractionResult(features, detection, m.synthesis, m.region)
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,15 @@ class PrcaRegion:
 def extract_region(ra_map: RangeAngleMap, seed):
     """Half-power connected component containing the seed cell.
 
+    Cells are (range bin, angle bin) of the full map; a map that holds
+    only some rows is read through its `first_range_bin`, and the region
+    stops at its first and last held rows as it does at the map's edges.
     Returns (cells, peak_index, threshold), where peak_index is the seed.
     """
     mags = ra_map.magnitudes
+    first = ra_map.first_range_bin
     peak_index = tuple(int(v) for v in seed)
-    peak_value = float(mags[peak_index])
+    peak_value = float(mags[peak_index[0] - first, peak_index[1]])
     if peak_value <= 0.0:
         raise DomainError("map has no positive peak")
     threshold = peak_value / np.sqrt(2.0)
@@ -65,8 +69,8 @@ def extract_region(ra_map: RangeAngleMap, seed):
         cells.append((i, j))
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             ni, nj = i + di, j + dj
-            if 0 <= ni < n_r and 0 <= nj < n_a and (ni, nj) not in seen:
-                if mags[ni, nj] >= threshold:
+            if first <= ni < first + n_r and 0 <= nj < n_a and (ni, nj) not in seen:
+                if mags[ni - first, nj] >= threshold:
                     seen.add((ni, nj))
                     queue.append((ni, nj))
     cells.sort()

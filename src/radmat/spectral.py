@@ -5,7 +5,9 @@ two.  A map of few range rows, such as the distance gate's, computes
 those rows as a direct DFT; a wider map takes the padded range FFT.  The
 beamformer is conventional delay-and-sum with two-way steering phases
 matching the echo model, exp(-j*4*pi*(p_j . u(theta))/lambda), so a
-target appears at its true azimuth.
+target appears at its true azimuth.  A gated frame is range-transformed
+once: its range-angle map beamforms the gated range-Doppler map's held
+rows at the detected Doppler bin.
 """
 
 import math
@@ -21,6 +23,12 @@ DEFAULT_THRESHOLD_DB = 12.0
 # maps of fewer range rows than this take the direct DFT of those rows;
 # from here on the padded FFT, whose cost does not grow with the rows, wins
 DFT_CROSSOVER_ROWS = 80
+# rows a gated map holds beyond each gate edge, for the PRCA region: one
+# echo's half-power range main lobe is 0.886*n_fft/N < 1.8 padded bins
+# wide (N samples padded to n_fft < 2N), so it covers at most two adjacent
+# rows, and a region grown from the echo's peak row in the gate reaches at
+# most one row out
+PRCA_MARGIN_ROWS = 1
 
 
 def _next_pow2(n: int) -> int:
@@ -114,9 +122,19 @@ class RangeDopplerMap:
 
 @dataclass(frozen=True)
 class RangeAngleMap:
-    magnitudes: np.ndarray  # [range_bins, angle_bins]
+    """Beamformed magnitude map over range rows and the angle grid.
+
+    Like `RangeDopplerMap`, a gated map holds only some range rows: row i
+    is range bin `first_range_bin + i` of a full map of `full_range_bins`
+    rows.  A full map has `first_range_bin` 0, and `full_range_bins`
+    defaults to its own row count.
+    """
+
+    magnitudes: np.ndarray  # [range rows, angle_bins]
     angle_grid_rad: np.ndarray
     range_bin_m: float
+    first_range_bin: int = 0
+    full_range_bins: int | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.angle_grid_rad, dtype=float)
@@ -127,9 +145,11 @@ class RangeAngleMap:
         if grid[0] < -np.pi / 2 - 1e-12 or grid[-1] > np.pi / 2 + 1e-12:
             raise DomainError("angle grid must lie within [-pi/2, pi/2]")
         object.__setattr__(self, "angle_grid_rad", grid)
+        if self.full_range_bins is None:
+            object.__setattr__(self, "full_range_bins", self.magnitudes.shape[0])
 
     def to_document(self) -> dict:
-        return {
+        doc = {
             "kind": "range_angle_map",
             "range_bins": int(self.magnitudes.shape[0]),
             "angle_bins": int(self.magnitudes.shape[1]),
@@ -137,6 +157,9 @@ class RangeAngleMap:
             "angle_grid_rad": [float(a) for a in self.angle_grid_rad],
             "magnitudes_row_major": [float(x) for x in self.magnitudes.ravel()],
         }
+        if self.magnitudes.shape[0] != self.full_range_bins:
+            doc.update(first_range_bin=self.first_range_bin, full_range_bins=self.full_range_bins)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -181,7 +204,8 @@ def _range_rows(cube: RadarCube, lo: int, hi: int, n_fft_r: int):
 def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     """Range spectrum then Doppler FFT over chirps, magnitudes summed over antennas.
 
-    With a gate [lo, hi] m the map holds only the range rows inside it;
+    With a gate [lo, hi] m the map holds only the range rows inside it
+    and `PRCA_MARGIN_ROWS` beyond each edge, clamped at the map's edges;
     with none it holds every row.  `_range_rows` picks the strategy by the
     row count: a gate's few rows come from a direct DFT, equal to the
     padded FFT's rows to rounding (tested within 1e-12 of the map peak),
@@ -194,7 +218,10 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     if cfg.chirps_per_frame < 2:
         raise DomainError("range-Doppler processing needs at least 2 chirps")
     n_fft_r, range_bin_m = _range_axis(cfg)
-    lo, hi = (0, n_fft_r) if gate_m is None else _gate_rows(gate_m, range_bin_m, n_fft_r)
+    lo, hi = 0, n_fft_r
+    if gate_m is not None:
+        lo, hi = _gate_rows(gate_m, range_bin_m, n_fft_r)
+        lo, hi = max(lo - PRCA_MARGIN_ROWS, 0), min(hi + PRCA_MARGIN_ROWS, n_fft_r)
     n_fft_d = _next_pow2(cfg.chirps_per_frame)
     half = n_fft_d // 2  # n_fft_d is even, so fftshift swaps two equal halves
     spectra = np.empty((cube.geometry.element_count, hi - lo, n_fft_d), dtype=complex)
@@ -234,12 +261,12 @@ def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad
 
 
 def range_angle(cube: RadarCube) -> RangeAngleMap:
-    """Beamform the zero-Doppler range spectra over `DEFAULT_ANGLE_GRID_RAD`.
+    """Beamform the zero-Doppler range spectra of every row over `DEFAULT_ANGLE_GRID_RAD`.
 
-    The FFT is linear, so the chirps are averaged first, over the
-    contiguous rows of the cube's antenna-major storage, into a
-    zero-padded [antenna, range] block that is range-FFT'd along its last
-    axis.
+    The full static map, for `extract --debug`.  The FFT is linear, so the
+    chirps are averaged first, over the contiguous rows of the cube's
+    antenna-major storage, into a zero-padded [antenna, range] block that
+    is range-FFT'd along its last axis.
     """
     cfg = cube.config
     n_fft_r, range_bin_m = _range_axis(cfg)
@@ -252,20 +279,32 @@ def range_angle(cube: RadarCube) -> RangeAngleMap:
     return RangeAngleMap(magnitudes, DEFAULT_ANGLE_GRID_RAD, range_bin_m)
 
 
-def detect_target(
-    rd_map: RangeDopplerMap,
-    ra_map: RangeAngleMap,
-    gate_m,
-    threshold_db: float = DEFAULT_THRESHOLD_DB,
-) -> TargetDetection:
-    """Strongest gated cell, at least `threshold_db` over the gate rows' median.
+def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAngleMap:
+    """Beamform the map's held rows at one (shifted) Doppler bin.
 
-    The threshold is `threshold_db` above the median of the gate's range
-    rows.  A gated `rd_map` must hold every row of the gate.  The gated
-    signal is not read from the map but from the map's cube by
-    `_cell_signal`, so it has the same bytes for a full and a gated map
-    and on every BLAS kernel.  Raises NoTargetError when nothing inside
-    the gate clears the threshold.
+    |per_antenna[:, doppler_bin, :] @ W| / chirps_per_frame over
+    `DEFAULT_ANGLE_GRID_RAD`, holding the same rows as `rd_map`.  The
+    zero-Doppler bin is the chirp sum, so for a static scene this is
+    `range_angle`'s chirp-mean map over those rows, to rounding; a moving
+    target keeps its whole echo at its own bin.
+    """
+    cube = rd_map.cube
+    weights = steering_matrix(cube.geometry, cube.config.wavelength_m, DEFAULT_ANGLE_GRID_RAD)
+    beams = rd_map.per_antenna[:, doppler_bin, :] @ weights
+    return RangeAngleMap(
+        np.abs(beams) / cube.config.chirps_per_frame,
+        DEFAULT_ANGLE_GRID_RAD,
+        rd_map.range_bin_m,
+        rd_map.first_range_bin,
+        rd_map.full_range_bins,
+    )
+
+
+def _gate_peak(rd_map: RangeDopplerMap, gate_m, threshold_db: float) -> tuple[int, int]:
+    """Range bin and shifted Doppler bin of the strongest gated cell.
+
+    The cell must clear `threshold_db` over the median of the gate's range
+    rows, all of which `rd_map` must hold; otherwise NoTargetError.
     """
     lo, hi = _gate_rows(gate_m, rd_map.range_bin_m, rd_map.full_range_bins)
     first = rd_map.first_range_bin
@@ -276,7 +315,6 @@ def detect_target(
         )
     gated = rd_map.magnitudes[lo - first : hi - first]
     r_off, d_bin = np.unravel_index(int(np.argmax(gated)), gated.shape)
-    r_bin = lo + int(r_off)
     peak = float(gated[r_off, d_bin])
     threshold = float(np.median(gated)) * 10.0 ** (threshold_db / 20.0)
     if peak <= 0.0 or peak < threshold:
@@ -284,17 +322,57 @@ def detect_target(
             f"no cell in gate [{float(gate_m[0])}, {float(gate_m[1])}] m above "
             f"{threshold_db:.1f} dB over the median of the gate's range rows"
         )
-    a_bin = int(np.argmax(ra_map.magnitudes[r_bin]))
-    velocity = (rd_map.zero_doppler_bin - int(d_bin)) * rd_map.velocity_bin_m_s
+    return lo + int(r_off), int(d_bin)
+
+
+def _detection(
+    rd_map: RangeDopplerMap, ra_map: RangeAngleMap, r_bin: int, d_bin: int
+) -> TargetDetection:
+    """The detection at a cell, its angle the peak of `ra_map`'s row r_bin.
+
+    The gated signal is not read from the map but from the map's cube by
+    `_cell_signal`, so it has the same bytes for a full and a gated map
+    and on every BLAS kernel.
+    """
+    a_bin = int(np.argmax(ra_map.magnitudes[r_bin - ra_map.first_range_bin]))
+    velocity = (rd_map.zero_doppler_bin - d_bin) * rd_map.velocity_bin_m_s
     return TargetDetection(
         range_m=r_bin * rd_map.range_bin_m,
         velocity_m_s=float(velocity),
         angle_rad=float(ra_map.angle_grid_rad[a_bin]),
         range_bin=r_bin,
         angle_bin=a_bin,
-        doppler_bin=int(d_bin),
-        gated_signal=_cell_signal(rd_map.cube, r_bin, int(d_bin)),
+        doppler_bin=d_bin,
+        gated_signal=_cell_signal(rd_map.cube, r_bin, d_bin),
     )
+
+
+def detect_target(
+    rd_map: RangeDopplerMap,
+    ra_map: RangeAngleMap,
+    gate_m,
+    threshold_db: float = DEFAULT_THRESHOLD_DB,
+) -> TargetDetection:
+    """Strongest gated cell, at least `threshold_db` over the gate rows' median.
+
+    A gated `rd_map` must hold every row of the gate, and `ra_map` the
+    detected row.  Raises NoTargetError when nothing inside the gate
+    clears the threshold.
+    """
+    return _detection(rd_map, ra_map, *_gate_peak(rd_map, gate_m, threshold_db))
+
+
+def detect_gated(
+    rd_map: RangeDopplerMap, gate_m, threshold_db: float = DEFAULT_THRESHOLD_DB
+) -> tuple[RangeAngleMap, TargetDetection]:
+    """`detect_target` with the range-angle map taken from `rd_map` itself.
+
+    The map is `range_angle_at_doppler` of the held rows at the detected
+    Doppler bin, so the frame needs no second range transform.
+    """
+    r_bin, d_bin = _gate_peak(rd_map, gate_m, threshold_db)
+    ra_map = range_angle_at_doppler(rd_map, d_bin)
+    return ra_map, _detection(rd_map, ra_map, r_bin, d_bin)
 
 
 def detection_voxel(detection: TargetDetection) -> np.ndarray:

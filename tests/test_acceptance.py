@@ -92,9 +92,10 @@ def test_out_of_gate_reflector_does_not_take_over_prca(
     )
     cube = frame_factory([make_plate(fixture_position, 4.0), clutter], seed=56)
     result = extract_from_cube(cube, profile, GATE_M)
-    mags = result.ra_map.magnitudes
+    full = range_angle(cube)
+    mags = full.magnitudes
     global_peak_range_m = np.unravel_index(int(np.argmax(mags)), mags.shape)[0] * (
-        result.ra_map.range_bin_m
+        full.range_bin_m
     )
     assert global_peak_range_m > GATE_M[1], "clutter must outshine the gated board"
     eps = result.features.dielectric_constant

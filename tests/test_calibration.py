@@ -7,21 +7,24 @@ from radmat import (
     CalibrationError,
     ChirpConfig,
     DomainError,
+    SceneTarget,
     calibrate_plate,
     calibrate_sphere,
     default_geometry,
     rcs_from_snr,
     synthesize_frame,
 )
+from radmat import pipeline, spectral
 from radmat.calibration import CalibrationProfile, estimate_noise_power, measure
 from radmat.docio import canonical_bytes
 from radmat.pipeline import calibrate_from_cubes, detect, extract_from_cube
-from radmat.spectral import detect_target, range_angle, range_doppler
+from radmat.spectral import DEFAULT_ANGLE_GRID_RAD, detect_target, range_angle, range_doppler
 from conftest import (
     FIXTURE_NOISE_W,
     GATE_M,
     METAL_EPSILON,
     SPHERE_DIAMETER_M,
+    build_profile,
     make_plate,
     make_sphere,
     padded_range_bin_m,
@@ -133,6 +136,20 @@ class TestCalibratePlate:
 CALIBRATED_SHAPES = [(600, 64, 8, 16), (256, 128, 12, 4)]
 
 
+def _reference_cubes(shape, seed):
+    """Sphere, plate and empty cubes of one calibrated shape and seed."""
+    samples, chirps, antennas, reference_bin = shape
+    config = ChirpConfig(samples_per_chirp=samples, chirps_per_frame=chirps)
+    geometry = default_geometry(config, antennas)
+    position = [0.0, 0.0, reference_bin * padded_range_bin_m(config)]
+
+    def frame(targets, offset):
+        return synthesize_frame(targets, config, geometry, FIXTURE_NOISE_W, 10 * seed + offset)
+
+    plate = make_plate(position, METAL_EPSILON)
+    return frame([make_sphere(position)], 1), frame([plate], 2), frame([], 3)
+
+
 class TestReferencesReadAsThemselves:
     """The sphere and the plate go through the target's measurement step,
     so each reference measured as a target reads exactly its own value."""
@@ -140,17 +157,9 @@ class TestReferencesReadAsThemselves:
     @pytest.mark.parametrize("shape", CALIBRATED_SHAPES)
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sphere_and_plate(self, shape, seed):
-        samples, chirps, antennas, reference_bin = shape
-        config = ChirpConfig(samples_per_chirp=samples, chirps_per_frame=chirps)
-        geometry = default_geometry(config, antennas)
-        position = [0.0, 0.0, reference_bin * padded_range_bin_m(config)]
-
-        def frame(targets, offset):
-            return synthesize_frame(targets, config, geometry, FIXTURE_NOISE_W, 10 * seed + offset)
-
-        sphere_cube = frame([make_sphere(position)], 1)
-        plate_cube = frame([make_plate(position, METAL_EPSILON)], 2)
-        noise = estimate_noise_power(frame([], 3))
+        sphere_cube, plate_cube, empty_cube = _reference_cubes(shape, seed)
+        config, geometry = sphere_cube.config, sphere_cube.geometry
+        noise = estimate_noise_power(empty_cube)
         profile = calibrate_from_cubes(sphere_cube, plate_cube, SPHERE_DIAMETER_M, noise, GATE_M)
 
         _, ra, det = detect(sphere_cube, GATE_M)
@@ -159,6 +168,68 @@ class TestReferencesReadAsThemselves:
         assert sphere.rcs_m2 == profile.sphere_rcs_m2
         plate = extract_from_cube(plate_cube, profile, GATE_M).features
         assert plate.power_reflection == profile.metal_plate_rho
+
+
+class TestOneRangeTransform:
+    """Calibration and extraction detect on the gated map's held rows,
+    beamformed at the detected Doppler bin, and never build the full map."""
+
+    def test_per_frame_path_never_builds_the_full_map(
+        self, monkeypatch, fixture_position, frame_factory, noise_power
+    ):
+        def full_map(cube):
+            raise AssertionError("the full range-angle map was built")
+
+        monkeypatch.setattr(spectral, "range_angle", full_map)
+        monkeypatch.setattr(pipeline, "range_angle", full_map, raising=False)
+        profile = build_profile(fixture_position, frame_factory, noise_power, FIXTURE_NOISE_W)
+        cube = frame_factory([make_plate(fixture_position, 4.0)], seed=71)
+        assert cube.samples.shape == (600, 64, 8)
+        features = extract_from_cube(cube, profile, GATE_M).features
+        assert abs(features.dielectric_constant - 4.0) / 4.0 < 0.10
+
+    @pytest.mark.parametrize("shape", CALIBRATED_SHAPES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_profile_equals_full_map_calibration(self, shape, seed):
+        # the full-map set-up: full range-Doppler and static range-angle maps
+        sphere_cube, plate_cube, empty_cube = _reference_cubes(shape, seed)
+        config, geometry = sphere_cube.config, sphere_cube.geometry
+        noise = estimate_noise_power(empty_cube)
+        det = detect_target(range_doppler(sphere_cube), range_angle(sphere_cube), GATE_M)
+        full = calibrate_sphere(det, geometry, config, SPHERE_DIAMETER_M, noise)
+        plate_ra = range_angle(plate_cube)
+        plate_det = detect_target(range_doppler(plate_cube), plate_ra, GATE_M)
+        full = calibrate_plate(plate_det, plate_ra, geometry, config, full)
+        held = calibrate_from_cubes(sphere_cube, plate_cube, SPHERE_DIAMETER_M, noise, GATE_M)
+        assert canonical_bytes(held.to_document()) == canonical_bytes(full.to_document())
+
+    def test_mover_keeps_its_angle_beside_a_dim_static_reflector(
+        self, fixture_range_m, frame_factory, profile
+    ):
+        # a board moving one Doppler bin, and a metal facet of 1/20 its area
+        # in the same range row, 30 degrees off and facing the radar: the
+        # chirp mean all but cancels the mover, so its zero-Doppler row
+        # peaks at the reflector
+        mover = SceneTarget(
+            position_m=np.array([0.0, 0.0, fixture_range_m]),
+            radial_velocity_m_s=0.65,
+            dielectric_constant=5.1,
+            facet_area_m2=0.04,
+        )
+        azimuth = math.radians(30.0)
+        direction = np.array([math.sin(azimuth), 0.0, math.cos(azimuth)])
+        reflector = SceneTarget(
+            position_m=fixture_range_m * direction,
+            dielectric_constant=METAL_EPSILON,
+            facet_normal=-direction,
+            facet_area_m2=0.002,
+        )
+        cube = frame_factory([mover, reflector], seed=7)
+        result = extract_from_cube(cube, profile, GATE_M)
+        assert result.detection.doppler_bin != range_doppler(cube, GATE_M).zero_doppler_bin
+        grid_step = DEFAULT_ANGLE_GRID_RAD[1] - DEFAULT_ANGLE_GRID_RAD[0]
+        assert abs(result.features.angle_rad) <= grid_step
+        assert abs(result.features.dielectric_constant - 5.1) / 5.1 < 0.10
 
 
 class TestProfilePersistence:

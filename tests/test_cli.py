@@ -23,7 +23,7 @@ from radmat.calibration import estimate_noise_power
 from radmat.cube_io import read_cube, write_cube
 from radmat.docio import canonical_bytes, read_document, write_document
 from radmat.pipeline import calibrate_from_cubes
-from radmat.spectral import range_doppler
+from radmat.spectral import range_angle, range_doppler
 from conftest import FIXTURE_NOISE_W, make_plate
 
 try:  # numpy >= 2
@@ -258,6 +258,24 @@ class TestExtract:
         assert read_document(rd_map)["range_bins"] == 1024
         full = range_doppler(read_cube(cube_path)).to_document()
         assert rd_map.read_bytes() == canonical_bytes(full)
+
+    def test_debug_ra_map_is_full_map(
+        self, tmp_path, fixture_position, frame_factory, profile_path
+    ):
+        # detection beamforms the gated map's held rows; the debug dump
+        # stays the full static map
+        cube_path = tmp_path / "plate.rcub"
+        write_cube(cube_path, frame_factory([make_plate(fixture_position, 9.0)], seed=63))
+        out = tmp_path / "features.json"
+        code = main(
+            ["extract", str(cube_path), "--profile", profile_path,
+             "--gate", "0.1", "0.6", "-o", str(out), "--debug"]
+        )
+        assert code == EXIT_OK
+        ra_map = tmp_path / "features.ra_map.json"
+        assert read_document(ra_map)["range_bins"] == 1024
+        full = range_angle(read_cube(cube_path)).to_document()
+        assert ra_map.read_bytes() == canonical_bytes(full)
 
     def test_debug_base_keeps_dotted_directory(
         self, tmp_path, fixture_position, frame_factory, profile_path

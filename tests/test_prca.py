@@ -7,9 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import padded_range_bin_m
-from radmat import DomainError, compute_prca, extract_region, region_area, shoelace_area
-from radmat.spectral import DEFAULT_ANGLE_GRID_RAD, RangeAngleMap
+from conftest import FIXTURE_NOISE_W, GATE_M, METAL_EPSILON, make_plate, padded_range_bin_m
+from radmat import (
+    ChirpConfig,
+    DomainError,
+    compute_prca,
+    default_geometry,
+    extract_region,
+    region_area,
+    shoelace_area,
+    synthesize_frame,
+)
+from radmat.pipeline import detect
+from radmat.spectral import (
+    DEFAULT_ANGLE_GRID_RAD,
+    RangeAngleMap,
+    detect_target,
+    range_angle,
+    range_doppler,
+)
 
 
 def _map(magnitudes, range_bin_m=0.02, grid_deg=None):
@@ -65,6 +81,19 @@ class TestExtractRegion:
         mags[1] = [0.0, 0.5, 0.0, 1.0, 0.9, 0.0, 0.6]
         cells, _, _ = extract_region(_map(mags), (1, 3))
         assert cells == ((1, 3), (1, 4))
+
+
+    def test_held_rows_keep_full_map_indices(self):
+        # rows 10-14 of a 40-row map: the region reads through the offset
+        # and stops at the last held row
+        mags = np.zeros((5, 5))
+        mags[2, 2] = 1.0
+        mags[3:, 2] = 0.9
+        held = RangeAngleMap(mags, np.radians(np.arange(5.0) - 2.0), 0.02, 10, 40)
+        cells, peak, _ = extract_region(held, (12, 2))
+        assert peak == (12, 2)
+        assert cells == ((12, 2), (13, 2), (14, 2))
+        assert compute_prca(held, (12, 2)).area_m2 == region_area(cells, held)
 
 
 class TestShoelace:
@@ -195,3 +224,64 @@ class TestComputePrca:
         a = compute_prca(_map(mags), (4, 4)).area_m2
         b = compute_prca(_map(mags * 5.0), (4, 4)).area_m2
         assert a == b
+
+
+HELD_SHAPES = [
+    pytest.param((600, 64, 8), id="600x64x8"),
+    pytest.param((256, 128, 12), id="256x128x12"),
+]
+
+
+def _shape_frame(shape, targets):
+    n_fast, n_chirp, n_ant = shape
+    config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
+    geometry = default_geometry(config, element_count=n_ant)
+    return synthesize_frame(targets, config, geometry, FIXTURE_NOISE_W, 5)
+
+
+def _gate_edge_bins(shape):
+    bin_m = padded_range_bin_m(ChirpConfig(samples_per_chirp=shape[0]))
+    return bin_m, math.ceil(GATE_M[0] / bin_m), math.floor(GATE_M[1] / bin_m)
+
+
+class TestHeldRows:
+    """A region grown on the gated map's held rows, which `pipeline.detect`
+    beamforms at the detected Doppler bin, against one grown on the full
+    static `range_angle` map."""
+
+    @pytest.mark.parametrize("shape", HELD_SHAPES)
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    @pytest.mark.parametrize("offset", [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75])
+    def test_region_at_gate_edge_equals_full_map_region(self, shape, edge, offset):
+        bin_m, lo, hi = _gate_edge_bins(shape)
+        range_bins = (lo if edge == "first" else hi) + offset
+        cube = _shape_frame(shape, [make_plate([0.0, 0.0, range_bins * bin_m], 4.0)])
+        _, ra, det = detect(cube, GATE_M)
+        held = compute_prca(ra, (det.range_bin, det.angle_bin))
+        full_ra = range_angle(cube)
+        full_det = detect_target(range_doppler(cube), full_ra, GATE_M)
+        full = compute_prca(full_ra, (full_det.range_bin, full_det.angle_bin))
+        assert held.cell_indices == full.cell_indices
+        assert held.area_m2 == full.area_m2
+
+    @pytest.mark.parametrize("shape", HELD_SHAPES)
+    def test_region_is_cut_at_the_held_edge(self, shape):
+        # the gate's last-bin board, and a brighter metal plate 1.5 bins
+        # beyond it: the full map's region runs on into the plate's rows,
+        # the held map's stops at its last row, as any region stops at the
+        # map's edge
+        bin_m, _, hi = _gate_edge_bins(shape)
+        board = make_plate([0.0, 0.0, hi * bin_m], 4.0)
+        plate = make_plate([0.0, 0.0, (hi + 1.5) * bin_m], METAL_EPSILON, area_m2=0.16)
+        cube = _shape_frame(shape, [board, plate])
+        _, ra, det = detect(cube, GATE_M)
+        last = ra.first_range_bin + ra.magnitudes.shape[0] - 1
+        assert (det.range_bin, last) == (hi, hi + 1)
+        seed = (det.range_bin, det.angle_bin)
+        held = compute_prca(ra, seed)
+        full_ra = range_angle(cube)
+        full = compute_prca(full_ra, seed)
+        assert max(i for i, _ in full.cell_indices) > last
+        cut = tuple(cell for cell in full.cell_indices if cell[0] <= last)
+        assert held.cell_indices == cut
+        assert held.area_m2 == region_area(cut, full_ra)

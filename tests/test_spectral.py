@@ -20,7 +20,12 @@ from radmat import (
 from radmat.calibration import estimate_noise_power
 from radmat.cube_io import read_cube, write_cube
 from radmat.pipeline import detect
-from radmat.spectral import DFT_CROSSOVER_ROWS, steering_matrix
+from radmat.spectral import (
+    DFT_CROSSOVER_ROWS,
+    PRCA_MARGIN_ROWS,
+    range_angle_at_doppler,
+    steering_matrix,
+)
 from conftest import FIXTURE_NOISE_W, GATE_M, make_plate, padded_range_bin_m
 
 
@@ -258,6 +263,48 @@ class TestRangeAngle:
         assert at_true >= row[far].max()
 
 
+class TestRangeAngleAtDoppler:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_zero_doppler_is_the_chirp_mean_map(self, shape):
+        cube = _plate_cube(shape)
+        rd = range_doppler(cube, GATE_M)
+        held = range_angle_at_doppler(rd, rd.zero_doppler_bin)
+        full = range_angle(cube)
+        lo, rows = rd.first_range_bin, rd.magnitudes.shape[0]
+        assert (held.first_range_bin, held.full_range_bins) == (lo, full.magnitudes.shape[0])
+        rows_of_full = full.magnitudes[lo : lo + rows]
+        assert held.magnitudes.shape == rows_of_full.shape
+        assert np.max(np.abs(held.magnitudes - rows_of_full)) <= 1e-12 * np.max(rows_of_full)
+        np.testing.assert_array_equal(
+            np.argmax(held.magnitudes, axis=1), np.argmax(rows_of_full, axis=1)
+        )
+
+    def test_document_names_the_held_rows(self, config, geometry):
+        cube = _single_target_cube(config, geometry, 0.3)
+        rd = range_doppler(cube, GATE_M)
+        doc = range_angle_at_doppler(rd, rd.zero_doppler_bin).to_document()
+        assert (doc["first_range_bin"], doc["range_bins"], doc["full_range_bins"]) == (
+            rd.first_range_bin, rd.magnitudes.shape[0], rd.full_range_bins
+        )
+        full_rd = range_doppler(cube)
+        assert "first_range_bin" not in range_angle_at_doppler(full_rd, 0).to_document()
+        assert "first_range_bin" not in range_angle(cube).to_document()
+
+    def test_mover_read_at_its_doppler_bin(self, config, geometry):
+        # at its own bin a mover keeps its whole echo; the chirp mean
+        # all but cancels one that moves a whole Doppler bin
+        rd = range_doppler(
+            _single_target_cube(config, geometry, 0.3, velocity=0.65, seed=7), GATE_M
+        )
+        static = range_doppler(_single_target_cube(config, geometry, 0.3, seed=7), GATE_M)
+        r_off, d_bin = np.unravel_index(int(np.argmax(rd.magnitudes)), rd.magnitudes.shape)
+        assert d_bin != rd.zero_doppler_bin
+        moving = range_angle_at_doppler(rd, int(d_bin)).magnitudes[r_off].max()
+        still = range_angle_at_doppler(static, static.zero_doppler_bin).magnitudes[r_off].max()
+        assert moving == pytest.approx(still, rel=0.05)
+        assert range_angle_at_doppler(rd, rd.zero_doppler_bin).magnitudes[r_off].max() < 0.1 * still
+
+
 class TestDetectTarget:
     def test_empty_scene_with_noise_no_target(self, config, geometry):
         cube = synthesize_frame([], config, geometry, 1e-6, 5)
@@ -312,15 +359,17 @@ class TestDetectTarget:
 
 
 class TestGatedMap:
-    """The gated map holds the full map's gate rows, and detection on it
-    matches detection on the full maps."""
+    """The gated map holds the full map's gate rows and a margin of
+    `PRCA_MARGIN_ROWS` beyond each edge, and detection on it matches
+    detection on the full maps."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rows_equal_full_map_rows(self, shape):
         cube = _plate_cube(shape)
         full = range_doppler(cube)
         bin_m = full.range_bin_m
-        lo, hi = math.ceil(GATE_M[0] / bin_m), math.floor(GATE_M[1] / bin_m) + 1
+        lo = math.ceil(GATE_M[0] / bin_m) - PRCA_MARGIN_ROWS
+        hi = math.floor(GATE_M[1] / bin_m) + 1 + PRCA_MARGIN_ROWS
         gated = range_doppler(cube, GATE_M)
         assert (gated.first_range_bin, gated.full_range_bins) == (lo, full.magnitudes.shape[0])
         assert (full.first_range_bin, full.full_range_bins) == (0, full.magnitudes.shape[0])
@@ -334,19 +383,33 @@ class TestGatedMap:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize(
         "rows",
-        [1, DFT_CROSSOVER_ROWS - 1, DFT_CROSSOVER_ROWS, DFT_CROSSOVER_ROWS + 1, None],
+        [
+            1 + 2 * PRCA_MARGIN_ROWS,
+            DFT_CROSSOVER_ROWS - 1,
+            DFT_CROSSOVER_ROWS,
+            DFT_CROSSOVER_ROWS + 1,
+            None,
+        ],
         ids=["1", "crossover-1", "crossover", "crossover+1", "full"],
     )
     def test_dft_and_fft_rows_agree_across_crossover(self, shape, rows):
+        # `rows` held rows ("1": a one-row gate and its margins)
         cube = _plate_cube(shape)
         full = range_doppler(cube)
         n, bin_m = full.full_range_bins, full.range_bin_m
         rows = n if rows is None else rows
-        # a window of `rows` rows around the target, gate edges half a bin out
+        # a window of `rows` held rows around the target; the gate is the
+        # window less the margins that the map's edges do not clamp, its
+        # edges half a bin out
         peak_row = int(np.argmax(full.magnitudes.max(axis=1)))
         lo = min(max(peak_row - rows // 2, 0), n - rows)
         hi = lo + rows
-        gate = (max(lo - 0.5, 0.0) * bin_m, (hi - 0.5) * bin_m if hi < n else n * bin_m)
+        gate_lo = lo + PRCA_MARGIN_ROWS if lo > 0 else 0
+        gate_hi = hi - PRCA_MARGIN_ROWS if hi < n else n
+        gate = (
+            max(gate_lo - 0.5, 0.0) * bin_m,
+            (gate_hi - 0.5) * bin_m if gate_hi < n else n * bin_m,
+        )
         gated = range_doppler(cube, gate)
         assert (gated.first_range_bin, gated.magnitudes.shape[0]) == (lo, rows)
         _assert_rows_match(gated, full, lo, hi)
@@ -354,14 +417,16 @@ class TestGatedMap:
     @pytest.mark.parametrize(
         "velocity, gate_bins, rows",
         [
-            pytest.param(0.25, (4.5, 27.0), (5, 23), id="moving-0.25"),
-            pytest.param(1.0, (4.5, 27.0), (5, 23), id="moving-1.0"),
-            pytest.param(0.0, (15.6, 16.4), (16, 1), id="one-row-gate"),
-            pytest.param(0.0, (4.5, 1024.0), (5, 1019), id="top-edge-at-extent"),
+            pytest.param(0.25, (4.5, 27.0), (4, 25), id="moving-0.25"),
+            pytest.param(1.0, (4.5, 27.0), (4, 25), id="moving-1.0"),
+            pytest.param(0.0, (15.6, 16.4), (15, 3), id="one-row-gate"),
+            pytest.param(0.0, (4.5, 1024.0), (4, 1020), id="top-edge-at-extent"),
         ],
     )
     def test_detect_matches_full_map_detection(self, config, geometry, velocity, gate_bins, rows):
-        # gate edges in padded range bins; the map has 1024 of them
+        # gate edges in padded range bins; the map has 1024 of them, and the
+        # held rows are the gate's and one margin row each side, but not
+        # past the map's last row
         bin_m = padded_range_bin_m(config)
         gate = (gate_bins[0] * bin_m, gate_bins[1] * bin_m)
         cube = _single_target_cube(

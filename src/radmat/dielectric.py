@@ -7,15 +7,16 @@ rho_metal_plate) -> relative dielectric constant via inversion of the
 p-polarized Fresnel formula.
 
 The inversion at normal incidence is eps = ((1 + r) / (1 - r))^2; at
-oblique incidence both branches of
+oblique incidence it is the plus root of
 
     eps = (r+1)^2 * [1 +/- sqrt(1 - (sin(2t)*(r-1)/(r+1))^2)]
           / (2 * cos(t)^2 * (r-1)^2)
 
-are evaluated and the one whose forward Fresnel value best reproduces
-the measured r_p wins.  Measurement is power-based, so r_p is stored as
-a magnitude and clamped just below 1 to keep the inverse finite for
-metal-like reflectors.
+Below 45 deg the plus root is the only root >= 1.  Both roots are >= 1
+only for r = 0 from 45 deg on: they are then 1 and tan(t)^2, both
+reproduce r = 0, and the plus root, tan(t)^2, is returned.  Measurement
+is power-based, so r_p is stored as a magnitude and clamped just below
+1 to keep the inverse finite for metal-like reflectors.
 """
 
 import math
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from .calibration import CalibrationProfile, Measurement
 from .docio import from_document, to_document
 from .errors import CalibrationError, DomainError, RadmatError
-from .signal_model import fresnel_amplitude
 
 R_P_CEILING = 1.0 - 1e-9
 
@@ -97,14 +97,9 @@ def dielectric_from_fresnel(r_p: float, incidence_angle_rad: float) -> float:
     discriminant = 1.0 - (math.sin(2.0 * theta) * (r_p - 1.0) / (r_p + 1.0)) ** 2
     if discriminant < 0.0:
         raise DomainError("no real dielectric constant for this (r_p, angle)")
-    root = math.sqrt(discriminant)
-    denom = 2.0 * math.cos(theta) ** 2
-    candidates = [q * (1.0 + root) / denom, q * (1.0 - root) / denom]
-    valid = [eps for eps in candidates if eps >= 1.0 - 1e-12]
-    if not valid:
-        raise DomainError("both inversion branches fall below the physical floor of 1")
-    best = min(valid, key=lambda eps: abs(fresnel_amplitude(max(eps, 1.0), theta) - r_p))
-    return max(best, 1.0)
+    # the plus root is at least q >= 1, so only rounding can take it below 1
+    eps = q * (1.0 + math.sqrt(discriminant)) / (2.0 * math.cos(theta) ** 2)
+    return max(eps, 1.0)
 
 
 @contextmanager

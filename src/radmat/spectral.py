@@ -8,8 +8,14 @@ matching the echo model, exp(-j*4*pi*(p_j . u(theta))/lambda), so a
 target appears at its true azimuth.  A gated frame is range-transformed
 once: its range-angle map beamforms the gated range-Doppler map's held
 rows at the detected Doppler bin.
+
+The constants a transform needs depend only on the frame shape: the
+twiddle table, a gate's DFT block and the default grid's steering
+weights.  Each is built once per shape, kept in a small bounded cache
+and returned read-only; no frame's data is kept.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +25,7 @@ from .errors import DomainError, NoTargetError
 from .signal_model import SPEED_OF_LIGHT, ArrayGeometry, RadarCube
 
 DEFAULT_ANGLE_GRID_RAD = np.radians(np.linspace(-90.0, 90.0, 181))
+DEFAULT_ANGLE_GRID_RAD.flags.writeable = False  # the cached steering weights assume it
 DEFAULT_THRESHOLD_DB = 12.0
 # maps of fewer range rows than this take the direct DFT of those rows;
 # from here on the padded FFT, whose cost does not grow with the rows, wins
@@ -41,8 +48,9 @@ def _range_axis(cfg) -> tuple[int, float]:
     return n_fft_r, SPEED_OF_LIGHT * cfg.sample_rate_hz / (2.0 * cfg.slope_hz_per_s * n_fft_r)
 
 
+@functools.lru_cache(maxsize=8)
 def _twiddles(n: int) -> np.ndarray:
-    """exp(-2j*pi*m/n) for m = 0..n-1, n a power of two.
+    """exp(-2j*pi*m/n) for m = 0..n-1, n a power of two; built once per n, read-only.
 
     Only the first octant is evaluated, with `math.cos`/`math.sin`; the
     rest follows from the circle's exact symmetries, so the table does
@@ -57,7 +65,22 @@ def _twiddles(n: int) -> np.ndarray:
     quadrant = np.concatenate([cos, sin[eighth - 1 : 0 : -1]]) - 1j * np.concatenate(
         [sin, cos[eighth - 1 : 0 : -1]]
     )
-    return np.concatenate([quadrant, -1j * quadrant, -quadrant, 1j * quadrant])[:: size // n]
+    table = np.concatenate([quadrant, -1j * quadrant, -quadrant, 1j * quadrant])[:: size // n]
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _dft_block(samples: int, n_fft_r: int, lo: int, hi: int) -> np.ndarray:
+    """E[n, k] = exp(-2j*pi*n*k/n_fft_r) for fast-time samples n and rows lo..hi-1.
+
+    Gathered from `_twiddles` at the exact index (n*k) mod n_fft_r; built
+    once per (frame shape, rows), read-only.
+    """
+    index = np.outer(np.arange(samples), np.arange(lo, hi)) % n_fft_r
+    block = _twiddles(n_fft_r)[index]
+    block.flags.writeable = False
+    return block
 
 
 def _gate_rows(gate_m, range_bin_m: float, range_bins: int) -> tuple[int, int]:
@@ -180,25 +203,25 @@ class TargetDetection:
 
 
 def _range_rows(cube: RadarCube, lo: int, hi: int, n_fft_r: int):
-    """Each antenna's [chirp, row] range spectra of padded range rows lo..hi-1.
+    """[antenna, chirp, row] range spectra of padded range rows lo..hi-1, in antenna blocks.
 
-    Fewer than `DFT_CROSSOVER_ROWS` rows come from one product
-    [antenna*chirp, fast] @ E[fast, rows], E[n, k] = exp(-2j*pi*n*k/n_fft_r)
-    taken from `_twiddles` at the exact index (n*k) mod n_fft_r; more
-    rows come from the range FFT of each antenna's contiguous chirps,
-    copied into one zero-padded block.
+    Fewer than `DFT_CROSSOVER_ROWS` rows come as one block of every
+    antenna, from one product [antenna*chirp, fast] @ E[fast, rows] with
+    the DFT block `_dft_block`, built once per frame shape and rows; more
+    rows come one antenna at a time, from the range FFT of its contiguous
+    chirps copied into one zero-padded block.
     """
     cfg = cube.config
     by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
     if hi - lo < DFT_CROSSOVER_ROWS:
-        index = np.outer(np.arange(cfg.samples_per_chirp), np.arange(lo, hi)) % n_fft_r
-        rows = by_antenna.reshape(-1, cfg.samples_per_chirp) @ _twiddles(n_fft_r)[index]
-        yield from rows.reshape(by_antenna.shape[0], cfg.chirps_per_frame, hi - lo)
+        block = _dft_block(cfg.samples_per_chirp, n_fft_r, lo, hi)
+        rows = by_antenna.reshape(-1, cfg.samples_per_chirp) @ block
+        yield rows.reshape(by_antenna.shape[0], cfg.chirps_per_frame, hi - lo)
         return
-    chirps = np.zeros((cfg.chirps_per_frame, n_fft_r), dtype=complex)  # zero-padded
+    chirps = np.zeros((1, cfg.chirps_per_frame, n_fft_r), dtype=complex)  # zero-padded
     for samples in by_antenna:
-        chirps[:, : cfg.samples_per_chirp] = samples
-        yield np.fft.fft(chirps, axis=1)[:, lo:hi]
+        chirps[0, :, : cfg.samples_per_chirp] = samples
+        yield np.fft.fft(chirps, axis=2)[:, :, lo:hi]
 
 
 def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
@@ -210,9 +233,12 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     row count: a gate's few rows come from a direct DFT, equal to the
     padded FFT's rows to rounding (tested within 1e-12 of the map peak),
     and a wide map from the padded FFT, so a row is bit-identical in every
-    map of at least `DFT_CROSSOVER_ROWS` rows.  The Doppler FFT, shift and
-    antenna sum run one antenna at a time on the held rows alone, along
-    the last axis of their contiguous [range, chirp] transpose.
+    map of at least `DFT_CROSSOVER_ROWS` rows.  The Doppler FFT and shift
+    run on the held rows alone, once per antenna block of `_range_rows`
+    (all antennas of a gated map, one antenna of a wide one), along the
+    last axis of the block's contiguous [antenna, range, chirp]
+    transpose.  The twiddle table and a gate's DFT block are built once
+    per frame shape.
     """
     cfg = cube.config
     if cfg.chirps_per_frame < 2:
@@ -225,10 +251,13 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     n_fft_d = _next_pow2(cfg.chirps_per_frame)
     half = n_fft_d // 2  # n_fft_d is even, so fftshift swaps two equal halves
     spectra = np.empty((cube.geometry.element_count, hi - lo, n_fft_d), dtype=complex)
-    for by_range, spectrum in zip(_range_rows(cube, lo, hi, n_fft_r), spectra):
-        doppler = np.fft.fft(np.ascontiguousarray(by_range.T), n=n_fft_d, axis=1)
-        spectrum[:, :half] = doppler[:, half:]
-        spectrum[:, half:] = doppler[:, :half]
+    first = 0
+    for by_range in _range_rows(cube, lo, hi, n_fft_r):
+        block = spectra[first : first + by_range.shape[0]]
+        first += by_range.shape[0]
+        doppler = np.fft.fft(np.ascontiguousarray(by_range.transpose(0, 2, 1)), n=n_fft_d, axis=2)
+        block[:, :, :half] = doppler[:, :, half:]
+        block[:, :, half:] = doppler[:, :, :half]
     magnitudes = np.abs(spectra).sum(axis=0)
     velocity_bin_m_s = cfg.wavelength_m / (2.0 * n_fft_d * cfg.chirp_duration_s)
     return RangeDopplerMap(
@@ -239,9 +268,10 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
 def _cell_signal(cube: RadarCube, range_bin: int, doppler_bin: int) -> np.ndarray:
     """Per-antenna spectrum at one (range, shifted Doppler) cell, without BLAS.
 
-    The range row is a non-BLAS `einsum` against `_twiddles`, summed in
-    one fixed order, and the Doppler step is the FFT over the chirps, so
-    the bytes do not depend on the BLAS kernel the CPU selects.
+    The range row is a non-BLAS `einsum` against a row gathered from the
+    cached `_twiddles` table, summed in one fixed order, and the Doppler
+    step is the FFT over the chirps, so the bytes do not depend on the
+    BLAS kernel the CPU selects.
     """
     cfg = cube.config
     n_fft_r = _range_axis(cfg)[0]
@@ -260,6 +290,20 @@ def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad
     return np.exp(-4j * np.pi * proj / wavelength_m)
 
 
+@functools.lru_cache(maxsize=8)
+def _default_weights(positions: bytes, wavelength_m: float) -> np.ndarray:
+    """`steering_matrix` over `DEFAULT_ANGLE_GRID_RAD`, read-only, built once per array.
+
+    `positions` is the array's `element_positions.tobytes()`, since an
+    `ArrayGeometry` holds an ndarray and is not hashable; the key also
+    holds the wavelength.
+    """
+    geometry = ArrayGeometry(np.frombuffer(positions).reshape(-1, 3))
+    weights = steering_matrix(geometry, wavelength_m, DEFAULT_ANGLE_GRID_RAD)
+    weights.flags.writeable = False
+    return weights
+
+
 def range_angle(cube: RadarCube) -> RangeAngleMap:
     """Beamform the zero-Doppler range spectra of every row over `DEFAULT_ANGLE_GRID_RAD`.
 
@@ -274,7 +318,7 @@ def range_angle(cube: RadarCube) -> RangeAngleMap:
     chirp_mean = np.zeros((cube.geometry.element_count, n_fft_r), dtype=complex)
     np.mean(by_antenna, axis=1, out=chirp_mean[:, : cfg.samples_per_chirp])
     spectra = np.fft.fft(chirp_mean, axis=1)  # (N, R)
-    weights = steering_matrix(cube.geometry, cfg.wavelength_m, DEFAULT_ANGLE_GRID_RAD)  # (N, G)
+    weights = _default_weights(cube.geometry.element_positions.tobytes(), cfg.wavelength_m)
     magnitudes = np.abs(spectra.T @ weights)
     return RangeAngleMap(magnitudes, DEFAULT_ANGLE_GRID_RAD, range_bin_m)
 
@@ -288,11 +332,11 @@ def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAn
     `range_angle`'s chirp-mean map over those rows, to rounding; a moving
     target keeps its whole echo at its own bin.
     """
-    cube = rd_map.cube
-    weights = steering_matrix(cube.geometry, cube.config.wavelength_m, DEFAULT_ANGLE_GRID_RAD)
+    cube, cfg = rd_map.cube, rd_map.cube.config
+    weights = _default_weights(cube.geometry.element_positions.tobytes(), cfg.wavelength_m)
     beams = rd_map.per_antenna[:, doppler_bin, :] @ weights
     return RangeAngleMap(
-        np.abs(beams) / cube.config.chirps_per_frame,
+        np.abs(beams) / cfg.chirps_per_frame,
         DEFAULT_ANGLE_GRID_RAD,
         rd_map.range_bin_m,
         rd_map.first_range_bin,

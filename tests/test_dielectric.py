@@ -75,6 +75,13 @@ class TestDielectricFromFresnel:
             ]
             assert np.all(np.diff(values) > 0), theta_deg
 
+    @pytest.mark.parametrize("theta_deg", [30.0, 45.5, 47.5])
+    def test_zero_r_p_takes_the_plus_root(self, theta_deg):
+        # from 45 degrees on, both eps = 1 and eps = tan^2 (Brewster) give r_p = 0
+        theta = math.radians(theta_deg)
+        expected = max(1.0, math.tan(theta) ** 2)
+        assert dielectric_from_fresnel(0.0, theta) == pytest.approx(expected, rel=1e-12)
+
     def test_r_p_at_or_above_one_rejected(self):
         with pytest.raises(DomainError):
             dielectric_from_fresnel(1.0, 0.0)

@@ -17,12 +17,17 @@ from radmat import (
     range_doppler,
     synthesize_frame,
 )
+from radmat import spectral
 from radmat.calibration import estimate_noise_power
 from radmat.cube_io import read_cube, write_cube
 from radmat.pipeline import detect
 from radmat.spectral import (
+    DEFAULT_ANGLE_GRID_RAD,
     DFT_CROSSOVER_ROWS,
     PRCA_MARGIN_ROWS,
+    _default_weights,
+    _dft_block,
+    _twiddles,
     range_angle_at_doppler,
     steering_matrix,
 )
@@ -64,12 +69,12 @@ SHAPES = [
 ]
 
 
-def _plate_cube(shape):
+def _plate_cube(shape, seed=5):
     n_fast, n_chirp, n_ant = shape
     config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
     geometry = default_geometry(config, element_count=n_ant)
     target = make_plate([0.05, 0.0, 0.3], 4.0)
-    return synthesize_frame([target], config, geometry, FIXTURE_NOISE_W, 5)
+    return synthesize_frame([target], config, geometry, FIXTURE_NOISE_W, seed)
 
 
 def _assert_rows_match(gated, full, lo, hi):
@@ -488,3 +493,90 @@ class TestGatedMap:
     def test_noise_only_cube_has_no_target(self, frame_factory, seed, noise_power_w):
         with pytest.raises(NoTargetError):
             detect(frame_factory([], seed=seed, noise_power_w=noise_power_w), GATE_M)
+
+
+SHAPE_CONSTANTS = (_twiddles, _dft_block, _default_weights)
+
+
+def _clear_shape_constants():
+    for cache in SHAPE_CONSTANTS:
+        cache.cache_clear()
+
+
+def _builds():
+    return [cache.cache_info().misses for cache in SHAPE_CONSTANTS]
+
+
+def _gated_frame(cube):
+    """Every array one gated frame computes: held map, beamformed rows, cell."""
+    rd, ra, det = detect(cube, GATE_M)
+    return rd.magnitudes, rd.per_antenna, ra.magnitudes, det.gated_signal
+
+
+def _assert_frame_equal(cube, expected):
+    for got, want in zip(_gated_frame(cube), expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestShapeConstants:
+    """The twiddle table, a gate's DFT block and the steering weights are
+    built once per frame shape and handed out read-only."""
+
+    def test_second_frame_of_a_shape_builds_nothing(self, monkeypatch):
+        _clear_shape_constants()
+        _gated_frame(_plate_cube((600, 64, 8)))
+        built = _builds()
+        assert all(built), built
+        # building a twiddle table or steering weights again would now raise
+        monkeypatch.setattr(spectral, "math", None)
+        monkeypatch.setattr(spectral, "steering_matrix", None)
+        _gated_frame(_plate_cube((600, 64, 8), seed=6))
+        assert _builds() == built
+
+    def test_constants_are_read_only(self):
+        cube = _plate_cube((600, 64, 8))
+        constants = [
+            _twiddles(1024),
+            _dft_block(600, 1024, 4, 25),
+            _default_weights(cube.geometry.element_positions.tobytes(), cube.config.wavelength_m),
+            DEFAULT_ANGLE_GRID_RAD,
+        ]
+        for constant in constants:
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 0
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_constants_equal_a_fresh_build(self, shape):
+        cube = _plate_cube(shape)
+        n_fast, wavelength_m = cube.config.samples_per_chirp, cube.config.wavelength_m
+        n_fft_r = 1 << (n_fast - 1).bit_length()
+        index = np.outer(np.arange(n_fast), np.arange(3, 30)) % n_fft_r
+        np.testing.assert_array_equal(
+            _dft_block(n_fast, n_fft_r, 3, 30), _twiddles.__wrapped__(n_fft_r)[index]
+        )
+        np.testing.assert_array_equal(
+            _default_weights(cube.geometry.element_positions.tobytes(), wavelength_m),
+            steering_matrix(cube.geometry, wavelength_m, DEFAULT_ANGLE_GRID_RAD),
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cleared_caches_give_the_same_bytes(self, shape):
+        cube = _plate_cube(shape)
+        _gated_frame(cube)
+        cached = _gated_frame(cube)
+        _clear_shape_constants()
+        _assert_frame_equal(cube, cached)
+
+    def test_two_shapes_do_not_interfere(self):
+        cubes = [_plate_cube((600, 64, 8)), _plate_cube((256, 128, 12))]
+        alone = []
+        for cube in cubes:
+            _clear_shape_constants()
+            alone.append(_gated_frame(cube))
+        _clear_shape_constants()
+        for cube, expected in zip(cubes, alone):
+            _assert_frame_equal(cube, expected)
+        built = _builds()
+        for cube, expected in zip(cubes, alone):
+            _assert_frame_equal(cube, expected)
+        assert _builds() == built  # both shapes stay cached

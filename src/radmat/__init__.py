@@ -59,6 +59,6 @@ from .spectral import (
     range_doppler,
 )
 from .synthesis import SynthesisResult, focus, synthesize
-from .vlm import HttpProvider, MockProvider, ProviderConfig, VisualQuery, propose
+from .vlm import ProviderConfig, VisualQuery, propose
 
 __version__ = "0.1.0"

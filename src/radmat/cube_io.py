@@ -21,7 +21,7 @@ writing casts the samples as they lie and reading only widens them to
 complex128, with no reordering.  Only uniform linear arrays
 round-trip through this format; the spacing is reconstructed into a
 centered ULA on load.  Every malformed file, header or payload, raises
-FormatError.
+FormatError; every malformed scene document, DocumentError.
 """
 
 import struct
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .docio import read_document, require
+from .docio import malformed, read_document
 from .errors import DocumentError, DomainError, FormatError
 from .signal_model import ArrayGeometry, ChirpConfig, RadarCube, SceneTarget, default_geometry
 
@@ -92,12 +92,9 @@ def read_cube(path) -> RadarCube:
     raw = Path(path).read_bytes()
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"{path}: truncated header")
-    try:
-        magic, version, n_fast, n_chirp, n_ant, f0, bw, slope, fs, spacing = _HEADER.unpack(
-            raw[: _HEADER.size]
-        )
-    except struct.error as exc:
-        raise FormatError(f"{path}: unreadable header") from exc
+    magic, version, n_fast, n_chirp, n_ant, f0, bw, slope, fs, spacing = _HEADER.unpack(
+        raw[: _HEADER.size]
+    )
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
@@ -105,43 +102,44 @@ def read_cube(path) -> RadarCube:
     expected = HEADER_SIZE + n_fast * n_chirp * n_ant * 8
     if len(raw) != expected:
         raise FormatError(f"{path}: payload size {len(raw)} does not match header dimensions")
-    try:
+    with malformed(FormatError, f"{path}: invalid header values"):
         config = ChirpConfig(f0, bw, slope, fs, n_fast, n_chirp)
         geometry = ArrayGeometry.uniform_linear(n_ant, spacing)
-    except DomainError as exc:
-        raise FormatError(f"{path}: invalid header values: {exc}") from exc
     flat = np.frombuffer(raw, dtype="<c8", offset=HEADER_SIZE)
     samples = flat.reshape(n_ant, n_chirp, n_fast).transpose(2, 1, 0)
-    try:
+    with malformed(FormatError, f"{path}: invalid payload"):
         return RadarCube(samples, config, geometry)  # widened to complex128 in one copy
-    except DomainError as exc:
-        raise FormatError(f"{path}: invalid payload: {exc}") from exc
 
 
 def chirp_config_from_document(doc: dict) -> ChirpConfig:
-    try:
+    with malformed(DocumentError, "chirp"):
         return ChirpConfig(
-            carrier_frequency_hz=float(require(doc, "carrier_frequency_hz", "chirp")),
-            bandwidth_hz=float(require(doc, "bandwidth_hz", "chirp")),
-            slope_hz_per_s=float(require(doc, "slope_hz_per_s", "chirp")),
-            sample_rate_hz=float(require(doc, "sample_rate_hz", "chirp")),
-            samples_per_chirp=int(require(doc, "samples_per_chirp", "chirp")),
-            chirps_per_frame=int(require(doc, "chirps_per_frame", "chirp")),
+            carrier_frequency_hz=float(doc["carrier_frequency_hz"]),
+            bandwidth_hz=float(doc["bandwidth_hz"]),
+            slope_hz_per_s=float(doc["slope_hz_per_s"]),
+            sample_rate_hz=float(doc["sample_rate_hz"]),
+            samples_per_chirp=int(doc["samples_per_chirp"]),
+            chirps_per_frame=int(doc["chirps_per_frame"]),
         )
-    except DomainError as exc:
-        raise DocumentError(f"chirp: {exc}") from exc
 
 
 def geometry_from_document(doc: dict, config: ChirpConfig) -> ArrayGeometry:
-    try:
+    with malformed(DocumentError, "array"):
         if "positions_m" in doc:
             return ArrayGeometry(np.asarray(doc["positions_m"], dtype=float))
-        count = int(require(doc, "element_count", "array"))
+        count = int(doc["element_count"])
         if "spacing_m" in doc:
             return ArrayGeometry.uniform_linear(count, float(doc["spacing_m"]))
         return default_geometry(config, count)
-    except DomainError as exc:
-        raise DocumentError(f"array: {exc}") from exc
+
+
+def _target_from_entry(entry: dict) -> SceneTarget:
+    optional = {k: cast(entry[k]) for k, cast in _OPTIONAL_TARGET_KEYS.items() if k in entry}
+    return SceneTarget(
+        position_m=np.asarray(entry["position_m"], float),
+        dielectric_constant=float(entry["dielectric_constant"]),
+        **optional,
+    )
 
 
 def load_scene(path):
@@ -150,23 +148,13 @@ def load_scene(path):
     Returns (targets, config, geometry, noise_power_w, seed).
     """
     doc = read_document(path)
-    config = chirp_config_from_document(require(doc, "chirp", "scene"))
-    geometry = geometry_from_document(require(doc, "array", "scene"), config)
-    targets = []
-    for i, entry in enumerate(require(doc, "targets", "scene")):
-        try:
-            optional = {k: cast(entry[k]) for k, cast in _OPTIONAL_TARGET_KEYS.items() if k in entry}
-            targets.append(
-                SceneTarget(
-                    position_m=np.asarray(require(entry, "position_m", f"target {i}"), float),
-                    dielectric_constant=float(
-                        require(entry, "dielectric_constant", f"target {i}")
-                    ),
-                    **optional,
-                )
-            )
-        except DomainError as exc:
-            raise DocumentError(f"target {i}: {exc}") from exc
-    noise = float(doc.get("noise_power_w", 0.0))
-    seed = int(require(doc, "seed", "scene"))
+    with malformed(DocumentError, "scene"):
+        config = chirp_config_from_document(doc["chirp"])
+        geometry = geometry_from_document(doc["array"], config)
+        targets = []
+        for i, entry in enumerate(doc["targets"]):
+            with malformed(DocumentError, f"target {i}"):
+                targets.append(_target_from_entry(entry))
+        noise = float(doc.get("noise_power_w", 0.0))
+        seed = int(doc["seed"])
     return targets, config, geometry, noise, seed

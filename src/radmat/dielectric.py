@@ -6,11 +6,13 @@ already sphere-referenced: power reflection rho = sigma / A_r
 rho_metal_plate) -> relative dielectric constant via inversion of the
 p-polarized Fresnel formula.
 
-The inversion at normal incidence is eps = ((1 + r) / (1 - r))^2; at
-oblique incidence it is the plus root of
+The inversion is the plus root of
 
     eps = (r+1)^2 * [1 +/- sqrt(1 - (sin(2t)*(r-1)/(r+1))^2)]
           / (2 * cos(t)^2 * (r-1)^2)
+
+which at normal incidence is q = ((1 + r) / (1 - r))^2 in floating point
+too: sin 0 = 0 and cos 0 = 1, so the computed root is exactly q * 2 / 2.
 
 Below 45 deg the plus root is the only root >= 1.  Both roots are >= 1
 only for r = 0 from 45 deg on: they are then 1 and tan(t)^2, both
@@ -89,8 +91,6 @@ def dielectric_from_fresnel(r_p: float, incidence_angle_rad: float) -> float:
         raise DomainError("r_p must lie in [0, 1)")
     if not 0.0 <= incidence_angle_rad < math.pi / 2:
         raise DomainError("incidence angle must lie in [0, pi/2)")
-    if incidence_angle_rad == 0.0:
-        return ((1.0 + r_p) / (1.0 - r_p)) ** 2
 
     theta = incidence_angle_rad
     q = ((1.0 + r_p) / (1.0 - r_p)) ** 2

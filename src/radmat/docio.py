@@ -5,6 +5,10 @@ material stores, fusion contexts, decisions) is a JSON document with
 explicit units in field names.  Serialization is canonical (sorted keys,
 two-space indent, trailing newline) so outputs are byte-stable.
 
+``malformed`` is the one place where a malformed outside document, a cube
+file's header or payload and a provider's answer included, becomes an
+error class: readers index, cast and validate plainly inside it.
+
 A document whose keys are its dataclass's field names is derived from
 the fields by ``to_document``: a complex scalar or array goes under
 ``<name>_re_im`` as ``[re, im]`` pairs, tuples and arrays become lists
@@ -14,6 +18,7 @@ whose numbers are floats, and other scalars are written as stored.
 import dataclasses
 import json
 import typing
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,22 +35,29 @@ def write_document(path, document: dict) -> None:
     Path(path).write_bytes(canonical_bytes(document))
 
 
-def read_document(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+@contextmanager
+def malformed(error, context: str):
+    """Raise a KeyError, TypeError or ValueError from the block as ``error``,
+    with ``context`` as its prefix.
+
+    ValueError covers DomainError, json.JSONDecodeError and
+    UnicodeDecodeError; a KeyError names the missing key.
+    """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path}: not valid JSON: {exc}") from exc
+        yield
+    except KeyError as exc:
+        raise error(f"{context}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise error(f"{context}: {exc}") from exc
+
+
+def read_document(path) -> dict:
+    """The JSON object in a UTF-8 file; other content raises DocumentError."""
+    with malformed(DocumentError, f"{path}: not a UTF-8 JSON document"):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: top-level value must be an object")
     return doc
-
-
-def require(document: dict, key: str, context: str):
-    """Fetch a mandatory key, raising DocumentError when absent."""
-    if key not in document:
-        raise DocumentError(f"{context}: missing required field '{key}'")
-    return document[key]
 
 
 def _plain(value, nested=False):
@@ -103,7 +115,7 @@ def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
     unknown key and every KeyError, TypeError or ValueError, the class's
     own validation included, are raised as ``error``.
     """
-    try:
+    with malformed(error, f"invalid {cls.__name__} document"):
         hints = typing.get_type_hints(cls)
         keys = {
             field.name: f"{field.name}_re_im" if hints[field.name] is np.ndarray else field.name
@@ -118,5 +130,3 @@ def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
             elif field.default is dataclasses.MISSING:
                 raise KeyError(key)
         return cls(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise error(f"invalid {cls.__name__} document: {exc}") from exc

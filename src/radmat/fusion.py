@@ -18,7 +18,7 @@ resolve toward radar (it reads intrinsic properties), configurably.
 import math
 from dataclasses import dataclass
 
-from .docio import check_keys, from_document, to_document
+from .docio import check_keys, from_document, malformed, to_document
 from .errors import DomainError
 from .knowledge import RadarCandidateSet, check_candidates
 
@@ -88,7 +88,7 @@ class RadarContext:
 
     @classmethod
     def from_document(cls, doc: dict) -> "RadarContext":
-        try:
+        with malformed(DomainError, "invalid radar context"):
             check_keys(doc, "radar_context", (*cls._SCALARS, "measured_epsilon", "candidates"))
             return cls(
                 **{key: float(doc[key]) for key in cls._SCALARS},
@@ -97,8 +97,6 @@ class RadarContext:
                     measured_epsilon=float(doc["measured_epsilon"]),
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"invalid radar context: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .docio import read_document, to_document
+from .docio import malformed, read_document, to_document
 from .errors import DocumentError, DomainError
 
 SIGMA_FLOOR = 0.1
@@ -46,9 +46,13 @@ class MaterialRecord:
 
 def check_candidates(candidates, label: str) -> None:
     """Raise DomainError unless ``candidates`` is a non-empty ((name, p), ...)
-    sequence of probabilities in [0, 1] that sum to 1, in descending order."""
+    sequence of distinct names whose probabilities lie in [0, 1], sum to 1
+    and descend."""
     if not candidates:
         raise DomainError(f"{label} list must not be empty")
+    names = [name for name, _ in candidates]
+    if len(set(names)) != len(names):
+        raise DomainError(f"{label} names must be distinct")
     probs = [p for _, p in candidates]
     if not all(0.0 <= p <= 1.0 for p in probs):
         raise DomainError(f"{label} probabilities must lie in [0, 1]")
@@ -114,28 +118,22 @@ class MaterialStore:
 
 
 def _record_from_entry(entry: dict) -> MaterialRecord:
-    try:
-        eps = entry["epsilon"]
-        return MaterialRecord(
-            material_id=str(entry["id"]),
-            name=str(entry["name"]),
-            epsilon_mean=float(eps["mean"]),
-            epsilon_std=float(eps["std"]),
-            epsilon_low=float(eps["low"]),
-            epsilon_high=float(eps["high"]),
-            source=str(entry.get("source", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed material record: {exc}") from exc
-    except DomainError as exc:
-        raise DocumentError(str(exc)) from exc
+    eps = entry["epsilon"]
+    return MaterialRecord(
+        material_id=str(entry["id"]),
+        name=str(entry["name"]),
+        epsilon_mean=float(eps["mean"]),
+        epsilon_std=float(eps["std"]),
+        epsilon_low=float(eps["low"]),
+        epsilon_high=float(eps["high"]),
+        source=str(entry.get("source", "")),
+    )
 
 
 def load_store(path) -> MaterialStore:
     doc = read_document(path)
-    if "materials" not in doc:
-        raise DocumentError(f"{path}: missing 'materials' array")
-    return MaterialStore(_record_from_entry(e) for e in doc["materials"])
+    with malformed(DocumentError, f"{path}: malformed material store"):
+        return MaterialStore(_record_from_entry(e) for e in doc["materials"])
 
 
 def default_store() -> MaterialStore:

@@ -1,10 +1,11 @@
-"""Visual branch providers: a deterministic fixture-backed mock and a
-generic HTTP-JSON adapter for live models.
+"""Visual branch providers: a deterministic fixture lookup and a generic
+HTTP-JSON adapter for live models.
 
-Both return a VisualContext for an image reference.  The candidate
-distribution's normalized Shannon entropy becomes the epistemic
-uncertainty term; luminance/complexity come from scene hints, fixture
-entries, or response metadata (default 0.5 when nothing supplies them).
+Each provider only fetches its answer for an image reference: the
+fixture entry, or the decoded HTTP body.  `propose` turns either answer
+into a VisualContext.  The candidate distribution's normalized Shannon
+entropy becomes the epistemic uncertainty term; luminance/complexity come
+from scene hints or the answer (default 0.5 when neither supplies them).
 
 HTTP contract: POST {"prompt": ..., "image_base64": ...} to the endpoint;
 the response must carry a "candidates" array of [name, probability]
@@ -23,7 +24,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .docio import from_document, read_document
+from .docio import from_document, malformed, read_document
 from .errors import DocumentError, DomainError, ProviderError
 from .fusion import VisualContext
 
@@ -67,33 +68,24 @@ class ProviderConfig:
         return from_document(cls, doc, DocumentError, "provider_config", _LEGACY_KEYS)
 
 
-def parse_response(body) -> list:
-    """Validate a candidates payload into a normalized (name, prob) list."""
-    if isinstance(body, str):
-        try:
-            body = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"response body is not valid JSON: {exc}") from exc
-    if not isinstance(body, dict) or "candidates" not in body:
-        raise DocumentError("response is missing the 'candidates' array")
+def parse_response(body: dict) -> list:
+    """Validate an answer's candidates into a normalized (name, prob) list.
+
+    A malformed answer raises KeyError, TypeError or ValueError (DomainError
+    for a well-formed list of wrong values).
+    """
     raw = body["candidates"]
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise DocumentError("'candidates' must be a non-empty array")
-    pairs = []
-    for entry in raw:
-        try:
-            name, prob = entry
-            name, prob = str(name), float(prob)
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"malformed candidate entry {entry!r}") from exc
+    if not isinstance(raw, list) or not raw:
+        raise DomainError("'candidates' must be a non-empty array")
+    pairs = [(str(name), float(prob)) for name, prob in raw]
+    for name, prob in pairs:
         if not name:
-            raise DocumentError("candidate names must be non-empty")
+            raise DomainError("candidate names must be non-empty")
         if prob < 0:
-            raise DocumentError(f"negative probability for '{name}'")
-        pairs.append((name, prob))
+            raise DomainError(f"negative probability for '{name}'")
     total = sum(p for _, p in pairs)
     if not 0.99 <= total <= 1.01:
-        raise DocumentError(f"candidate probabilities sum to {total}, outside [0.99, 1.01]")
+        raise DomainError(f"candidate probabilities sum to {total}, outside [0.99, 1.01]")
     return [(name, p / total) for name, p in pairs]
 
 
@@ -106,99 +98,72 @@ def normalized_entropy(candidates) -> float:
     return min(h / math.log(len(candidates)), 1.0)
 
 
-def _context_from_candidates(candidates, luminance, complexity) -> VisualContext:
-    ordered = tuple(sorted(candidates, key=lambda item: (-item[1], item[0])))
-    return VisualContext(
-        luminance=float(luminance),
-        complexity=float(complexity),
-        vlm_entropy=normalized_entropy(ordered),
-        candidates=ordered,
-    )
-
-
-def _resolve_scalar(name: str, hints, entry) -> float:
+def _resolve_scalar(name: str, hints, answer: dict) -> float:
     if hints and name in hints:
         return float(hints[name])
-    if entry and name in entry:
-        return float(entry[name])
-    return DEFAULT_SCALAR
+    return float(answer.get(name, DEFAULT_SCALAR))
 
 
-class MockProvider:
-    """Pure fixture lookup: the same query always yields the same context."""
-
-    def __init__(self, config: ProviderConfig):
-        self.config = config
-        self._fixtures = read_document(config.fixture_path)
-
-    def propose(self, query: VisualQuery) -> VisualContext:
-        entry = self._fixtures.get(query.image_ref)
-        if entry is None:
-            raise ProviderError(f"no fixture entry for image_ref '{query.image_ref}'")
-        try:
-            candidates = parse_response({"candidates": entry["candidates"]})
-        except (KeyError, DocumentError) as exc:
-            raise ProviderError(f"fixture entry for '{query.image_ref}' is invalid: {exc}") from exc
-        return _context_from_candidates(
-            candidates,
-            _resolve_scalar("luminance", query.scene_hints, entry),
-            _resolve_scalar("complexity", query.scene_hints, entry),
-        )
+def _fixture_answer(query: VisualQuery, config: ProviderConfig):
+    """The fixture entry for the query's image: a pure lookup."""
+    entry = read_document(config.fixture_path).get(query.image_ref)
+    if entry is None:
+        raise ProviderError(f"no fixture entry for image_ref '{query.image_ref}'")
+    return entry
 
 
-class HttpProvider:
-    """Single-POST JSON adapter with a hard timeout."""
+def _headers(config: ProviderConfig) -> dict:
+    headers = {"Content-Type": "application/json"}
+    env = config.auth_token_env_name
+    if env:
+        token = os.environ.get(env)
+        if not token:
+            raise ProviderError(f"auth token environment variable '{env}' is not set")
+        headers["Authorization"] = f"Bearer {token}"
+    return headers
 
-    def __init__(self, config: ProviderConfig):
-        self.config = config
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        env = self.config.auth_token_env_name
-        if env:
-            token = os.environ.get(env)
-            if not token:
-                raise ProviderError(f"auth token environment variable '{env}' is not set")
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
-
-    def propose(self, query: VisualQuery) -> VisualContext:
-        try:
-            image_bytes = Path(query.image_ref).read_bytes()
-        except OSError as exc:
-            raise ProviderError(f"cannot read image '{query.image_ref}': {exc}") from exc
-        payload = {
-            "prompt": query.prompt_text,
-            "image_base64": base64.b64encode(image_bytes).decode("ascii"),
-        }
-        data = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(self.config.endpoint_url, data, self._headers())
-        try:
-            with urllib.request.urlopen(request, timeout=self.config.timeout_ms / 1000.0) as response:
-                raw = response.read()
-        except urllib.error.HTTPError as exc:
-            raise ProviderError(f"provider returned HTTP {exc.code}") from exc
-        except (OSError, http.client.HTTPException) as exc:  # URLError, TimeoutError too
-            reason = getattr(exc, "reason", exc)
-            if isinstance(reason, TimeoutError):
-                raise ProviderError(f"provider timed out after {self.config.timeout_ms} ms") from exc
-            raise ProviderError(f"transport failure: {reason}") from exc
-        try:
-            body = json.loads(raw)
-        except ValueError as exc:
-            raise ProviderError("provider returned a non-JSON body") from exc
-        try:
-            candidates = parse_response(body)
-        except DocumentError as exc:
-            raise ProviderError(f"malformed provider response: {exc}") from exc
-        return _context_from_candidates(
-            candidates,
-            _resolve_scalar("luminance", query.scene_hints, body),
-            _resolve_scalar("complexity", query.scene_hints, body),
-        )
+def _http_answer(query: VisualQuery, config: ProviderConfig):
+    """The decoded JSON body of one POST, with a hard timeout."""
+    try:
+        image_bytes = Path(query.image_ref).read_bytes()
+    except OSError as exc:
+        raise ProviderError(f"cannot read image '{query.image_ref}': {exc}") from exc
+    payload = {
+        "prompt": query.prompt_text,
+        "image_base64": base64.b64encode(image_bytes).decode("ascii"),
+    }
+    data = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(config.endpoint_url, data, _headers(config))
+    try:
+        with urllib.request.urlopen(request, timeout=config.timeout_ms / 1000.0) as response:
+            raw = response.read()
+    except urllib.error.HTTPError as exc:
+        raise ProviderError(f"provider returned HTTP {exc.code}") from exc
+    except (OSError, http.client.HTTPException) as exc:  # URLError, TimeoutError too
+        reason = getattr(exc, "reason", exc)
+        if isinstance(reason, TimeoutError):
+            raise ProviderError(f"provider timed out after {config.timeout_ms} ms") from exc
+        raise ProviderError(f"transport failure: {reason}") from exc
+    with malformed(ProviderError, "provider returned a non-JSON body"):
+        return json.loads(raw)
 
 
 def propose(query: VisualQuery, config: ProviderConfig) -> VisualContext:
-    """One-shot proposal from the provider the config names."""
-    provider = MockProvider(config) if config.mode == "mock" else HttpProvider(config)
-    return provider.propose(query)
+    """One-shot proposal from the provider the config names.
+
+    Every fault in the provider's answer, its candidates, scalars and their
+    ranges alike, raises ProviderError.
+    """
+    fetch = _fixture_answer if config.mode == "mock" else _http_answer
+    answer = fetch(query, config)
+    with malformed(ProviderError, f"invalid provider answer for '{query.image_ref}'"):
+        if not isinstance(answer, dict):
+            raise TypeError(f"answer is {type(answer).__name__}, not an object")
+        ordered = tuple(sorted(parse_response(answer), key=lambda item: (-item[1], item[0])))
+        return VisualContext(
+            luminance=_resolve_scalar("luminance", query.scene_hints, answer),
+            complexity=_resolve_scalar("complexity", query.scene_hints, answer),
+            vlm_entropy=normalized_entropy(ordered),
+            candidates=ordered,
+        )

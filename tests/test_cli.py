@@ -16,6 +16,7 @@ from radmat.cli import (
     EXIT_IO,
     EXIT_NO_TARGET,
     EXIT_OK,
+    EXIT_PROVIDER,
     EXIT_SCENE,
     main,
 )
@@ -118,6 +119,31 @@ class TestSimulate:
         write_document(path, scene_doc(config, [entry]))
         assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
         assert "target 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("scene", "noise_power_w", "loud"),
+            ("scene", "seed", "x"),
+            ("scene", "targets", 5),
+            ("chirp", "samples_per_chirp", "x"),
+            ("chirp", "carrier_frequency_hz", "x"),
+            ("array", "element_count", "x"),
+            ("target", "dielectric_constant", "x"),
+            ("target", "facet_area_m2", "x"),
+        ],
+    )
+    def test_wrong_type_value_exits_format(
+        self, tmp_path, config, fixture_position, capsys, section, key, value
+    ):
+        doc = scene_doc(config, [plate_entry(fixture_position, 4.0)])
+        parts = {"scene": doc, "chirp": doc["chirp"], "array": doc["array"]}
+        parts["target"] = doc["targets"][0]
+        parts[section][key] = value
+        path = tmp_path / "scene.json"
+        write_document(path, doc)
+        assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith("format: ")
 
 
 class TestCalibrateCommand:
@@ -296,7 +322,27 @@ class TestExtract:
         assert not list(tmp_path.glob("run.*.json"))
 
 
+FEATURES = {
+    "range_m": 0.3,
+    "velocity_m_s": 0.0,
+    "angle_rad": 0.0,
+    "snr_db": 30.0,
+    "rcs_m2": 0.5 * 0.04,
+    "power_reflection": 0.5,
+    "fresnel_coefficient": 0.25,
+    "dielectric_constant": 2.8,
+    "prca_area_m2": 0.04,
+}
+
+
 class TestIdentify:
+    def test_store_whose_materials_is_not_an_array_exits_format(self, tmp_path):
+        features, store = tmp_path / "features.json", tmp_path / "store.json"
+        write_document(features, FEATURES)
+        write_document(store, {"materials": 5})
+        argv = ["identify", str(features), "--store", str(store), "-o", str(tmp_path / "c.json")]
+        assert main(argv) == EXIT_FORMAT
+
     def test_plastic_reading(self, tmp_path, fixture_position, frame_factory, profile_path):
         cube_path = tmp_path / "plate.rcub"
         write_cube(cube_path, frame_factory([make_plate(fixture_position, 2.87)], seed=64))
@@ -369,6 +415,69 @@ class TestFuse:
         argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath),
                 "-o", str(tmp_path / "decision.json")]
         assert main(argv) == EXIT_DOMAIN
+
+
+    @pytest.mark.parametrize("context", ["visual", "radar"])
+    def test_repeated_candidate_name_rejected(self, tmp_path, context):
+        vpath, rpath = _write_contexts(tmp_path)
+        path = vpath if context == "visual" else rpath
+        repeated = [["glass", 0.6], ["glass", 0.4]]
+        write_document(path, {**read_document(path), "candidates": repeated})
+        argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath),
+                "-o", str(tmp_path / "decision.json")]
+        assert main(argv) == EXIT_DOMAIN
+
+
+class TestNonUtf8Documents:
+    """Every document a command reads exits 4 when its bytes are not UTF-8."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, config, fixture_position, profile_path):
+        vpath, rpath = _write_contexts(tmp_path)
+        paths = {
+            "scene": _write_scene(tmp_path, config, fixture_position, 2.87),
+            "profile": profile_path,
+            "visual": str(vpath),
+            "radar": str(rpath),
+            "features": str(tmp_path / "features.json"),
+            "store": str(tmp_path / "store.json"),
+            "fusion": str(tmp_path / "fusion.json"),
+            "fixture": str(tmp_path / "fixtures.json"),
+            "provider": str(tmp_path / "provider.json"),
+            "out": str(tmp_path / "out.json"),
+        }
+        write_document(paths["features"], FEATURES)
+        store = Path(radmat.__file__).parent / "data" / "default_store.json"
+        write_document(paths["store"], read_document(store))
+        write_document(paths["fusion"], {"gamma2": 0.5})
+        write_document(paths["fixture"], read_document(VLM_FIXTURES))
+        write_document(paths["provider"], {"mode": "mock", "fixture_path": paths["fixture"]})
+        return paths
+
+    @pytest.mark.parametrize(
+        "bad, argv",
+        [
+            ("scene", ["simulate", "{scene}", "-o", "{out}"]),
+            ("features", ["identify", "{features}", "-o", "{out}"]),
+            ("store", ["identify", "{features}", "--store", "{store}", "-o", "{out}"]),
+            ("visual", ["fuse", "--visual", "{visual}", "--radar", "{radar}", "-o", "{out}"]),
+            ("radar", ["fuse", "--visual", "{visual}", "--radar", "{radar}", "-o", "{out}"]),
+            ("fusion", ["fuse", "--visual", "{visual}", "--radar", "{radar}",
+                        "--fusion-config", "{fusion}", "-o", "{out}"]),
+            *(
+                (name, ["pipeline", "--scene", "{scene}", "--profile", "{profile}",
+                        "--provider", "{provider}", "--image", "a5_cup", "--gate", "0.1", "0.6",
+                        "--fusion-config", "{fusion}", "-o", "{out}"])
+                for name in ("profile", "provider", "fixture")
+            ),
+        ],
+    )
+    def test_exits_format(self, paths, bad, argv):
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == EXIT_OK
+        path = Path(paths[bad])
+        path.write_bytes(b"{\xff" + path.read_bytes()[1:])
+        assert main(argv) == EXIT_FORMAT
 
 
 class TestPipeline:
@@ -485,6 +594,25 @@ class TestPipeline:
             "decision.synthesis.json",
         ]
         assert not list(tmp_path.glob("run.*.json"))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param([["glass", 1.0]], id="list"),
+            pytest.param({"candidates": [["glass", 1.0]], "luminance": "bright"}, id="word"),
+            pytest.param({"candidates": [["glass", 1.0]], "luminance": 1.5}, id="above-1"),
+            pytest.param({"candidates": [["glass", 0.6], ["glass", 0.4]]}, id="repeated-name"),
+        ],
+    )
+    def test_faulty_fixture_entry_exits_provider(
+        self, tmp_path, config, fixture_position, profile_path, entry
+    ):
+        fixtures, provider = tmp_path / "fixtures.json", tmp_path / "provider.json"
+        write_document(fixtures, {"cup": entry})
+        write_document(provider, {"mode": "mock", "fixture_path": str(fixtures)})
+        scene = _write_scene(tmp_path, config, fixture_position, 2.87)
+        code, _ = self._run(tmp_path, config, profile_path, str(provider), scene, "cup")
+        assert code == EXIT_PROVIDER
 
     def test_cube_and_scene_mutually_exclusive(self, tmp_path, profile_path, provider_path):
         code = main(

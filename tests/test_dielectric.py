@@ -10,7 +10,7 @@ from radmat import (
     fresnel_amplitude,
     reflection_coefficients,
 )
-from radmat.dielectric import EmFeatureVector
+from radmat.dielectric import R_P_CEILING, EmFeatureVector
 from radmat.pipeline import extract_from_cube
 from conftest import GATE_M, make_plate
 
@@ -47,6 +47,11 @@ class TestDielectricFromFresnel:
 
     def test_normal_incidence_inverse(self):
         assert dielectric_from_fresnel(1.0 / 3.0, 0.0) == pytest.approx(4.0, rel=1e-12)
+
+    def test_normal_incidence_is_the_closed_form_bit_for_bit(self):
+        grid = [*np.linspace(0.0, 1.0, 20_001)[:-1].tolist(), R_P_CEILING]
+        for r in grid:
+            assert dielectric_from_fresnel(r, 0.0) == ((1.0 + r) / (1.0 - r)) ** 2, r
 
     def test_oblique_round_trip(self):
         theta = math.radians(20.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from radmat.calibration import CalibrationProfile
-from radmat.docio import canonical_bytes
-from radmat.errors import CalibrationError, DocumentError, DomainError
+from radmat.docio import canonical_bytes, malformed, read_document
+from radmat.errors import CalibrationError, DocumentError, DomainError, ProviderError, SceneError
 from radmat.fusion import FusionConfig, VisualContext
 from radmat.synthesis import SynthesisResult
 from radmat.vlm import ProviderConfig
@@ -162,3 +162,44 @@ class TestWrongDocuments:
             ProviderConfig.from_document(
                 {"mode": "mock", "fixture_path": "fixtures.json", "max_in_fligth": 4}
             )
+
+
+class TestMalformed:
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda: {}["seed"], "scene: missing key 'seed'"),
+            (lambda: int("x"), "scene: invalid literal"),
+            (lambda: float(None), "scene: float.. argument must be"),
+            (lambda: FusionConfig(snr_floor=0.0), "scene: snr_floor must be positive"),
+            (lambda: b"\xff".decode("utf-8"), "scene: 'utf-8' codec"),
+        ],
+        ids=["key", "value", "type", "domain", "unicode"],
+    )
+    def test_document_faults_become_the_callers_error(self, fault, message):
+        with pytest.raises(ProviderError, match=message):
+            with malformed(ProviderError, "scene"):
+                fault()
+
+    def test_other_exceptions_pass_through(self):
+        with pytest.raises(SceneError):
+            with malformed(DocumentError, "scene"):
+                raise SceneError("target out of range")
+        # an inner reader's own error class is kept, and not prefixed twice
+        with pytest.raises(CalibrationError, match="^invalid CalibrationProfile document"):
+            with malformed(DocumentError, "scene"):
+                CalibrationProfile.from_document({})
+        with pytest.raises(AttributeError):
+            with malformed(DocumentError, "scene"):
+                [].get("seed")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b'{"a": "\xff"}', "not a UTF-8 JSON document"), (b"[1]", "must be an object")],
+        ids=["non-utf8", "array"],
+    )
+    def test_read_document_rejects(self, tmp_path, data, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        with pytest.raises(DocumentError, match=message):
+            read_document(path)

@@ -1,0 +1,40 @@
+"""A malformed outside document becomes an error class in one place:
+`docio.malformed`.  No other module catches the exceptions that a bad
+document raises while it is indexed, cast or validated."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "radmat"
+DOCUMENT_EXCEPTIONS = {
+    "KeyError", "TypeError", "ValueError", "DomainError", "DocumentError", "JSONDecodeError",
+}
+
+
+def _names(node):
+    """The exception names an `except` clause's type expression mentions."""
+    if node is None:
+        return []
+    if isinstance(node, ast.Tuple):
+        return [name for item in node.elts for name in _names(item)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
+
+
+def test_only_docio_maps_document_exceptions():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "docio.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{handler.lineno} catches {name}"
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            for name in _names(handler.type)
+            if name in DOCUMENT_EXCEPTIONS
+        ]
+    assert not offenders, offenders

@@ -217,6 +217,14 @@ class TestContextsValidation:
         with pytest.raises(DomainError):
             RadarCandidateSet((("metal", 1.5), ("paper", -0.5)), 5.0)
 
+    def test_candidate_names_must_be_distinct(self):
+        # one material split in two would read as an uncertain visual branch
+        repeated = (("glass", 0.6), ("glass", 0.4))
+        with pytest.raises(DomainError, match="distinct"):
+            VisualContext(0.5, 0.5, 0.5, repeated)
+        with pytest.raises(DomainError, match="distinct"):
+            RadarCandidateSet(repeated, 5.0)
+
     def test_radar_distance_bounds(self):
         with pytest.raises(DomainError):
             _radar([("metal", 1.0)], d=6.0, dmax=5.0)

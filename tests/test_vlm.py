@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from radmat import ProviderConfig, ProviderError, VisualQuery, propose
-from radmat.errors import DocumentError, DomainError
-from radmat.vlm import MockProvider, normalized_entropy, parse_response
+from radmat.docio import write_document
+from radmat.errors import DomainError
+from radmat.vlm import normalized_entropy, parse_response
 
 FIXTURES = str(Path(__file__).parent / "data" / "vlm_fixtures.json")
 
@@ -28,20 +29,16 @@ class TestParseResponse:
         assert sum(p for _, p in out) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_sum_outside_tolerance(self):
-        with pytest.raises(DocumentError):
+        with pytest.raises(DomainError):
             parse_response({"candidates": [["glass", 0.7], ["plastic", 0.5]]})
 
     def test_rejects_negative_probability(self):
-        with pytest.raises(DocumentError):
+        with pytest.raises(DomainError):
             parse_response({"candidates": [["glass", 1.2], ["plastic", -0.2]]})
 
     def test_rejects_missing_candidates(self):
-        with pytest.raises(DocumentError):
+        with pytest.raises(KeyError):
             parse_response({"answer": "glass"})
-
-    def test_accepts_json_string_body(self):
-        out = parse_response(json.dumps({"candidates": [["wood", 1.0]]}))
-        assert out == [("wood", 1.0)]
 
 
 class TestNormalizedEntropy:
@@ -66,9 +63,8 @@ class TestMockProvider:
         assert ctx.luminance == 0.8
 
     def test_pure_lookup_same_query_same_context(self):
-        provider = MockProvider(mock_config())
-        a = provider.propose(VisualQuery("a2_cup"))
-        b = provider.propose(VisualQuery("a2_cup"))
+        a = propose(VisualQuery("a2_cup"), mock_config())
+        b = propose(VisualQuery("a2_cup"), mock_config())
         assert a == b
 
     def test_single_candidate_entropy_zero(self):
@@ -85,6 +81,21 @@ class TestMockProvider:
         )
         assert ctx.luminance == 0.1
         assert ctx.complexity == 0.3  # fixture value still applies
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            pytest.param({"candidates": "glass"}, "non-empty array", id="string-candidates"),
+            pytest.param({"candidates": [["glass"]]}, "unpack", id="short-pair"),
+            pytest.param({"luminance": 0.5}, "missing key 'candidates'", id="no-candidates"),
+        ],
+    )
+    def test_faulty_fixture_entry_is_provider_error(self, tmp_path, entry, reason):
+        fixtures = tmp_path / "fixtures.json"
+        write_document(fixtures, {"cup": entry})
+        config = ProviderConfig(mode="mock", fixture_path=str(fixtures))
+        with pytest.raises(ProviderError, match=reason):
+            propose(VisualQuery("cup"), config)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -103,6 +114,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.behaviour == "garbage":
             payload = b"not json"
+        elif self.behaviour == "bright":
+            payload = json.dumps({"candidates": [["glass", 1.0]], "luminance": "bright"}).encode()
+        elif self.behaviour == "array":
+            payload = b"[]"
         else:
             payload = json.dumps(
                 {"candidates": [["glass", 0.6], ["plastic", 0.4]], "luminance": 0.65}
@@ -170,6 +185,16 @@ class TestHttpProvider:
         cfg = ProviderConfig(mode="http", endpoint_url=http_server)
         with pytest.raises(ProviderError, match="non-JSON"):
             propose(VisualQuery(image_file), cfg)
+
+    @pytest.mark.parametrize(
+        "behaviour, reason", [("bright", "bright"), ("array", "not an object")]
+    )
+    def test_faulty_answer_is_error(self, http_server, image_file, behaviour, reason):
+        _Handler.behaviour = behaviour
+        cfg = ProviderConfig(mode="http", endpoint_url=http_server)
+        with pytest.raises(ProviderError, match=reason):
+            propose(VisualQuery(image_file), cfg)
+        _Handler.behaviour = "ok"
 
     def test_timeout_is_error_not_hang(self, http_server, image_file):
         _Handler.behaviour = "slow"

@@ -47,6 +47,8 @@ class CalibrationProfile:
         ) <= 0:
             raise DomainError("all calibration scalars must be positive")
         phasors = np.asarray(self.phase_phasors, dtype=np.complex128)
+        if phasors.ndim != 1 or phasors.size == 0:
+            raise DomainError("phase phasors must be a non-empty 1-D array")
         if np.any(np.abs(np.abs(phasors) - 1.0) > 1e-9):
             raise DomainError("phase phasors must have unit magnitude")
         if self.metal_plate_rho is not None and self.metal_plate_rho <= 0:

@@ -32,7 +32,7 @@ from .errors import (
     SceneError,
 )
 from .fusion import FusionConfig, RadarContext, VisualContext, decide
-from .spectral import DEFAULT_THRESHOLD_DB, range_angle, range_doppler
+from .spectral import range_angle, range_doppler
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -74,15 +74,13 @@ def _fusion_config(path) -> FusionConfig:
     return FusionConfig.from_document(docio.read_document(path))
 
 
-def _simulate_scene(args) -> signal_model.RadarCube:
-    """The cube of the scene document, with --seed overriding its seed."""
-    targets, config, geometry, noise, seed = cube_io.load_scene(args.scene)
-    seed = seed if args.seed is None else args.seed
-    return signal_model.synthesize_frame(targets, config, geometry, noise, seed)
+def _simulate_scene(path) -> signal_model.RadarCube:
+    """The cube of the scene document, simulated with the document's seed."""
+    return signal_model.synthesize_frame(*cube_io.load_scene(path))
 
 
 def cmd_simulate(args) -> int:
-    cube = _simulate_scene(args)
+    cube = _simulate_scene(args.scene)
     cube_io.write_cube(args.output, cube)
     print(
         f"wrote {args.output}: {cube.config.samples_per_chirp} samples x "
@@ -93,15 +91,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     sphere_cube = cube_io.read_cube(args.sphere)
-    if args.noise_power is not None:
-        noise_power = args.noise_power
-    elif args.noise_cube is not None:
-        noise_power = calibration.estimate_noise_power(cube_io.read_cube(args.noise_cube))
-    else:
-        raise CalibrationError("provide --noise-power or --noise-cube")
+    noise_power = calibration.estimate_noise_power(cube_io.read_cube(args.noise_cube))
     profile = pipeline.calibrate_from_cubes(
         sphere_cube, cube_io.read_cube(args.plate), args.sphere_diameter, noise_power,
-        (args.gate[0], args.gate[1]), args.threshold_db,
+        (args.gate[0], args.gate[1]),
     )
     docio.write_document(args.output, profile.to_document())
     print(f"wrote {args.output}: K={profile.system_constant_k:.6g}")
@@ -111,9 +104,7 @@ def cmd_calibrate(args) -> int:
 def cmd_extract(args) -> int:
     cube = cube_io.read_cube(args.cube)
     profile = _load_profile(args.profile)
-    result = pipeline.extract_from_cube(
-        cube, profile, (args.gate[0], args.gate[1]), args.threshold_db
-    )
+    result = pipeline.extract_from_cube(cube, profile, (args.gate[0], args.gate[1]))
     docio.write_document(args.output, result.features.to_document())
     if args.debug:
         base = os.path.splitext(args.output)[0]
@@ -131,7 +122,7 @@ def cmd_extract(args) -> int:
 def cmd_identify(args) -> int:
     features = EmFeatureVector.from_document(docio.read_document(args.features))
     store = _load_store(args.store)
-    candidates = knowledge.match(features.dielectric_constant, store, args.top_k)
+    candidates = knowledge.match(features.dielectric_constant, store)
     docio.write_document(args.output, candidates.to_document())
     print(f"wrote {args.output}: top={candidates.top[0]}")
     return EXIT_OK
@@ -149,23 +140,15 @@ def cmd_fuse(args) -> int:
 def cmd_pipeline(args) -> int:
     if (args.cube is None) == (args.scene is None):
         raise DomainError("provide exactly one of --cube or --scene")
-    cube = cube_io.read_cube(args.cube) if args.cube is not None else _simulate_scene(args)
+    cube = cube_io.read_cube(args.cube) if args.cube is not None else _simulate_scene(args.scene)
     profile = _load_profile(args.profile)
     store = _load_store(args.store)
     provider_cfg = vlm.ProviderConfig.from_document(docio.read_document(args.provider))
 
-    extraction = pipeline.extract_from_cube(
-        cube, profile, (args.gate[0], args.gate[1]), args.threshold_db
-    )
+    extraction = pipeline.extract_from_cube(cube, profile, (args.gate[0], args.gate[1]))
     visual = vlm.propose(vlm.VisualQuery(image_ref=args.image), provider_cfg)
     outcome = pipeline.run_identification(
-        extraction.features,
-        visual,
-        store,
-        max_distance_m=args.max_distance,
-        top_k=args.top_k,
-        tolerance_sigma=args.tolerance_sigma,
-        fusion_config=_fusion_config(args.fusion_config),
+        extraction.features, visual, store, fusion_config=_fusion_config(args.fusion_config)
     )
     docio.write_document(args.output, outcome.to_document())
     if args.debug:
@@ -182,10 +165,6 @@ def _add_gate(parser):
         "--gate", nargs=2, type=float, metavar=("LO_M", "HI_M"), required=True,
         help="range gate in meters",
     )
-    parser.add_argument(
-        "--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB,
-        help="detection threshold above the median of the gate's range rows (dB)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,15 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize a radar cube from a scene document")
     p.add_argument("scene")
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the scene seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate", help="build a calibration profile from sphere and plate cubes")
     p.add_argument("--sphere", required=True, help="metal sphere cube")
     p.add_argument("--plate", required=True, help="smooth metal plate cube")
     p.add_argument("--sphere-diameter", type=float, required=True, help="meters")
-    p.add_argument("--noise-cube", default=None, help="empty-scene cube for the noise floor")
-    p.add_argument("--noise-power", type=float, default=None, help="direct noise power override (W)")
+    p.add_argument("--noise-cube", required=True, help="empty-scene cube for the noise floor")
     _add_gate(p)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_calibrate)
@@ -223,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="feature record -> ranked material candidates")
     p.add_argument("features")
     p.add_argument("--store", default=None, help="material store (default: built-in)")
-    p.add_argument("--top-k", type=int, default=knowledge.DEFAULT_TOP_K)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_identify)
 
@@ -237,15 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full chain: extract, identify, propose, fuse")
     p.add_argument("--cube", default=None)
     p.add_argument("--scene", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--profile", required=True)
     p.add_argument("--store", default=None)
     p.add_argument("--provider", required=True, help="provider config document")
     p.add_argument("--image", required=True, help="image reference for the visual branch")
     _add_gate(p)
-    p.add_argument("--max-distance", type=float, default=5.0)
-    p.add_argument("--top-k", type=int, default=knowledge.DEFAULT_TOP_K)
-    p.add_argument("--tolerance-sigma", type=float, default=2.0)
     p.add_argument("--fusion-config", default=None)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--debug", action="store_true")

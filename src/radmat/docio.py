@@ -37,17 +37,18 @@ def write_document(path, document: dict) -> None:
 
 @contextmanager
 def malformed(error, context: str):
-    """Raise a KeyError, TypeError or ValueError from the block as ``error``,
-    with ``context`` as its prefix.
+    """Raise a KeyError, TypeError, ValueError or OverflowError from the
+    block as ``error``, with ``context`` as its prefix.
 
     ValueError covers DomainError, json.JSONDecodeError and
-    UnicodeDecodeError; a KeyError names the missing key.
+    UnicodeDecodeError; OverflowError covers ``int`` of the infinity that
+    JSON reads 1e400 as; a KeyError names the missing key.
     """
     try:
         yield
     except KeyError as exc:
         raise error(f"{context}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{context}: {exc}") from exc
 
 
@@ -112,7 +113,7 @@ def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
     and ignored.  An ``np.ndarray`` field is read as a complex array from
     ``<name>_re_im`` and a bare ``tuple`` as ``(name, value)`` pairs.  A key
     may be missing only when its field has a default.  A wrong kind, an
-    unknown key and every KeyError, TypeError or ValueError, the class's
+    unknown key and every exception that ``malformed`` maps, the class's
     own validation included, are raised as ``error``.
     """
     with malformed(error, f"invalid {cls.__name__} document"):

@@ -2,10 +2,11 @@
 
 Each record carries the 60 GHz dielectric statistics of one reference
 board.  Matching scores a measured dielectric constant against every
-record with a Gaussian kernel over the std-normalized distance; a floor
-on the std keeps tight records from dominating through division blowup.
-Visual candidate pruning removes materials whose (widened) dielectric
-interval excludes the measurement, but never empties the candidate set.
+record with a Gaussian kernel over the std-normalized distance and keeps
+the TOP_K best; a floor on the std keeps tight records from dominating
+through division blowup.  Visual candidate pruning removes materials whose
+interval, widened by TOLERANCE_SIGMA stds, excludes the measurement, but
+never empties the candidate set.
 """
 
 import math
@@ -16,7 +17,8 @@ from .docio import malformed, read_document, to_document
 from .errors import DocumentError, DomainError
 
 SIGMA_FLOOR = 0.1
-DEFAULT_TOP_K = 3
+TOP_K = 3
+TOLERANCE_SIGMA = 2.0
 
 
 @dataclass(frozen=True)
@@ -144,12 +146,10 @@ def default_store() -> MaterialStore:
         return load_store(p)
 
 
-def match(epsilon_measured: float, store: MaterialStore, top_k: int = DEFAULT_TOP_K) -> RadarCandidateSet:
+def match(epsilon_measured: float, store: MaterialStore) -> RadarCandidateSet:
     """Rank store materials against a measured dielectric constant."""
     if epsilon_measured < 1.0:
         raise DomainError("measured dielectric constant must be >= 1")
-    if top_k < 1:
-        raise DomainError("top_k must be >= 1")
     distances = [
         (abs(epsilon_measured - r.epsilon_mean) / max(r.epsilon_std, SIGMA_FLOOR), r.name)
         for r in store
@@ -159,7 +159,7 @@ def match(epsilon_measured: float, store: MaterialStore, top_k: int = DEFAULT_TO
     d_min = min(d for d, _ in distances)
     scored = [(name, math.exp(-(d**2 - d_min**2) / 2.0)) for d, name in distances]
     scored.sort(key=lambda item: -item[1])
-    top = scored[:top_k]
+    top = scored[:TOP_K]
     total = sum(s for _, s in top)
     return RadarCandidateSet(
         candidates=tuple((name, s / total) for name, s in top),
@@ -167,22 +167,15 @@ def match(epsilon_measured: float, store: MaterialStore, top_k: int = DEFAULT_TO
     )
 
 
-def prune_visual(
-    visual_candidates,
-    epsilon_measured: float,
-    store: MaterialStore,
-    tolerance_sigma: float = 2.0,
-):
+def prune_visual(visual_candidates, epsilon_measured: float, store: MaterialStore):
     """Drop visual candidates incompatible with the measured dielectric.
 
     A candidate is kept when the measurement falls inside its reference
-    interval widened by tolerance_sigma * std, or when the material has
+    interval widened by TOLERANCE_SIGMA * std, or when the material has
     no store record (nothing to judge it against).  If everything is
     incompatible, the least-incompatible candidate survives.  Returned
     probabilities are renormalized; the operation is idempotent.
     """
-    if tolerance_sigma <= 0:
-        raise DomainError("tolerance_sigma must be positive")
     candidates = list(visual_candidates)
     if not candidates:
         return []
@@ -195,7 +188,7 @@ def prune_visual(
             distances.append((0.0, name, prob))
             continue
         distance = record.interval_distance(
-            epsilon_measured, widen=tolerance_sigma * record.epsilon_std
+            epsilon_measured, widen=TOLERANCE_SIGMA * record.epsilon_std
         )
         distances.append((distance, name, prob))
         if distance == 0.0:

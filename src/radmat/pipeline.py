@@ -10,18 +10,14 @@ from .calibration import CalibrationProfile, calibrate_plate, calibrate_sphere, 
 from .dielectric import EmFeatureVector, extract_features
 from .errors import CalibrationError
 from .fusion import FusionConfig, FusionDecision, RadarContext, VisualContext, decide
-from .knowledge import DEFAULT_TOP_K, MaterialStore, RadarCandidateSet, match, prune_visual
+from .knowledge import MaterialStore, RadarCandidateSet, match, prune_visual
 from .prca import PrcaRegion
 from .signal_model import RadarCube
-from .spectral import (
-    DEFAULT_THRESHOLD_DB,
-    RangeAngleMap,
-    RangeDopplerMap,
-    TargetDetection,
-    detect_gated,
-    range_doppler,
-)
+from .spectral import RangeAngleMap, RangeDopplerMap, TargetDetection, detect_gated, range_doppler
 from .synthesis import SynthesisResult
+
+# the radar context's distance ceiling; its distance uncertainty is gamma2 * (d / MAX_DISTANCE_M)**2
+MAX_DISTANCE_M = 5.0
 
 
 @dataclass(frozen=True)
@@ -32,16 +28,14 @@ class ExtractionResult:
     region: PrcaRegion
 
 
-def detect(
-    cube: RadarCube, gate_m, threshold_db: float = DEFAULT_THRESHOLD_DB
-) -> tuple[RangeDopplerMap, RangeAngleMap, TargetDetection]:
+def detect(cube: RadarCube, gate_m) -> tuple[RangeDopplerMap, RangeAngleMap, TargetDetection]:
     """Gated range-Doppler map, range-angle map and strongest gated target of one frame.
 
     Both maps hold the gate's range rows and a margin for the PRCA region;
     the range-angle map is those rows beamformed at the detected Doppler bin.
     """
     rd_map = range_doppler(cube, gate_m)
-    ra_map, detection = detect_gated(rd_map, gate_m, threshold_db)
+    ra_map, detection = detect_gated(rd_map, gate_m)
     return rd_map, ra_map, detection
 
 
@@ -51,27 +45,21 @@ def calibrate_from_cubes(
     sphere_diameter_m: float,
     noise_power_w: float,
     gate_m,
-    threshold_db: float = DEFAULT_THRESHOLD_DB,
 ) -> CalibrationProfile:
     """Sphere then metal plate calibration, each from one frame."""
-    _, _, sphere_det = detect(sphere_cube, gate_m, threshold_db)
+    _, _, sphere_det = detect(sphere_cube, gate_m)
     profile = calibrate_sphere(
         sphere_det, sphere_cube.geometry, sphere_cube.config, sphere_diameter_m, noise_power_w
     )
-    _, plate_ra, plate_det = detect(plate_cube, gate_m, threshold_db)
+    _, plate_ra, plate_det = detect(plate_cube, gate_m)
     return calibrate_plate(plate_det, plate_ra, plate_cube.geometry, plate_cube.config, profile)
 
 
-def extract_from_cube(
-    cube: RadarCube,
-    profile: CalibrationProfile,
-    gate_m,
-    threshold_db: float = DEFAULT_THRESHOLD_DB,
-) -> ExtractionResult:
+def extract_from_cube(cube: RadarCube, profile: CalibrationProfile, gate_m) -> ExtractionResult:
     """Run the full radar-side chain on one frame."""
     if not profile.is_complete:
         raise CalibrationError("profile lacks the metal plate reference")
-    _, ra_map, detection = detect(cube, gate_m, threshold_db)
+    _, ra_map, detection = detect(cube, gate_m)
     m = measure(detection, ra_map, cube.geometry, cube.config, profile)
     features = extract_features(m, profile)
     return ExtractionResult(features, detection, m.synthesis, m.region)
@@ -99,21 +87,16 @@ def run_identification(
     visual: VisualContext,
     store: MaterialStore,
     *,
-    max_distance_m: float = 5.0,
-    top_k: int = DEFAULT_TOP_K,
-    tolerance_sigma: float = 2.0,
     fusion_config: FusionConfig | None = None,
 ) -> PipelineOutcome:
     """Match, prune the visual set against the measurement, and fuse."""
-    radar_candidates = match(features.dielectric_constant, store, top_k)
-    pruned = prune_visual(
-        visual.candidates, features.dielectric_constant, store, tolerance_sigma
-    )
+    radar_candidates = match(features.dielectric_constant, store)
+    pruned = prune_visual(visual.candidates, features.dielectric_constant, store)
     pruned_visual = replace(visual, candidates=tuple(pruned))
     radar_ctx = RadarContext(
         snr_linear=features.snr_linear,
         distance_m=features.range_m,
-        max_distance_m=max_distance_m,
+        max_distance_m=MAX_DISTANCE_M,
         incidence_angle_rad=abs(features.angle_rad),
         candidates=radar_candidates,
     )

@@ -140,6 +140,9 @@ class SceneTarget:
         nrm = np.asarray(self.facet_normal, dtype=float)
         if pos.shape != (3,) or nrm.shape != (3,):
             raise DomainError("position and facet normal must be 3-vectors")
+        scalars = (self.radial_velocity_m_s, self.dielectric_constant, self.facet_area_m2)
+        if not (np.all(np.isfinite(pos)) and all(map(math.isfinite, scalars))):
+            raise DomainError("position, velocity, dielectric constant and area must be finite")
         if self.dielectric_constant < 1.0:
             raise DomainError("dielectric constant must be >= 1")
         if not abs(np.linalg.norm(nrm) - 1.0) <= 1e-9:  # also rejects NaN

@@ -26,7 +26,9 @@ from .signal_model import SPEED_OF_LIGHT, ArrayGeometry, RadarCube
 
 DEFAULT_ANGLE_GRID_RAD = np.radians(np.linspace(-90.0, 90.0, 181))
 DEFAULT_ANGLE_GRID_RAD.flags.writeable = False  # the cached steering weights assume it
-DEFAULT_THRESHOLD_DB = 12.0
+# a gated cell is a target when it stands this far over the median of the
+# gate's range rows
+THRESHOLD_DB = 12.0
 # maps of fewer range rows than this take the direct DFT of those rows;
 # from here on the padded FFT, whose cost does not grow with the rows, wins
 DFT_CROSSOVER_ROWS = 80
@@ -344,10 +346,10 @@ def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAn
     )
 
 
-def _gate_peak(rd_map: RangeDopplerMap, gate_m, threshold_db: float) -> tuple[int, int]:
+def _gate_peak(rd_map: RangeDopplerMap, gate_m) -> tuple[int, int]:
     """Range bin and shifted Doppler bin of the strongest gated cell.
 
-    The cell must clear `threshold_db` over the median of the gate's range
+    The cell must clear `THRESHOLD_DB` over the median of the gate's range
     rows, all of which `rd_map` must hold; otherwise NoTargetError.
     """
     lo, hi = _gate_rows(gate_m, rd_map.range_bin_m, rd_map.full_range_bins)
@@ -360,11 +362,11 @@ def _gate_peak(rd_map: RangeDopplerMap, gate_m, threshold_db: float) -> tuple[in
     gated = rd_map.magnitudes[lo - first : hi - first]
     r_off, d_bin = np.unravel_index(int(np.argmax(gated)), gated.shape)
     peak = float(gated[r_off, d_bin])
-    threshold = float(np.median(gated)) * 10.0 ** (threshold_db / 20.0)
+    threshold = float(np.median(gated)) * 10.0 ** (THRESHOLD_DB / 20.0)
     if peak <= 0.0 or peak < threshold:
         raise NoTargetError(
             f"no cell in gate [{float(gate_m[0])}, {float(gate_m[1])}] m above "
-            f"{threshold_db:.1f} dB over the median of the gate's range rows"
+            f"{THRESHOLD_DB:.1f} dB over the median of the gate's range rows"
         )
     return lo + int(r_off), int(d_bin)
 
@@ -391,30 +393,23 @@ def _detection(
     )
 
 
-def detect_target(
-    rd_map: RangeDopplerMap,
-    ra_map: RangeAngleMap,
-    gate_m,
-    threshold_db: float = DEFAULT_THRESHOLD_DB,
-) -> TargetDetection:
-    """Strongest gated cell, at least `threshold_db` over the gate rows' median.
+def detect_target(rd_map: RangeDopplerMap, ra_map: RangeAngleMap, gate_m) -> TargetDetection:
+    """Strongest gated cell, at least `THRESHOLD_DB` over the gate rows' median.
 
     A gated `rd_map` must hold every row of the gate, and `ra_map` the
     detected row.  Raises NoTargetError when nothing inside the gate
     clears the threshold.
     """
-    return _detection(rd_map, ra_map, *_gate_peak(rd_map, gate_m, threshold_db))
+    return _detection(rd_map, ra_map, *_gate_peak(rd_map, gate_m))
 
 
-def detect_gated(
-    rd_map: RangeDopplerMap, gate_m, threshold_db: float = DEFAULT_THRESHOLD_DB
-) -> tuple[RangeAngleMap, TargetDetection]:
+def detect_gated(rd_map: RangeDopplerMap, gate_m) -> tuple[RangeAngleMap, TargetDetection]:
     """`detect_target` with the range-angle map taken from `rd_map` itself.
 
     The map is `range_angle_at_doppler` of the held rows at the detected
     Doppler bin, so the frame needs no second range transform.
     """
-    r_bin, d_bin = _gate_peak(rd_map, gate_m, threshold_db)
+    r_bin, d_bin = _gate_peak(rd_map, gate_m)
     ra_map = range_angle_at_doppler(rd_map, d_bin)
     return ra_map, _detection(rd_map, ra_map, r_bin, d_bin)
 

@@ -5,9 +5,9 @@ Each provider only fetches its answer for an image reference: the
 fixture entry, or the decoded HTTP body.  `propose` turns either answer
 into a VisualContext.  The candidate distribution's normalized Shannon
 entropy becomes the epistemic uncertainty term; luminance/complexity come
-from scene hints or the answer (default 0.5 when neither supplies them).
+from the answer (default 0.5 when it does not supply them).
 
-HTTP contract: POST {"prompt": ..., "image_base64": ...} to the endpoint;
+HTTP contract: POST {"prompt": PROMPT, "image_base64": ...} to the endpoint;
 the response must carry a "candidates" array of [name, probability]
 pairs (renormalized when the sum is within 1 percent of one, rejected
 otherwise).  Auth tokens are only ever read from the environment
@@ -28,7 +28,7 @@ from .docio import from_document, malformed, read_document
 from .errors import DocumentError, DomainError, ProviderError
 from .fusion import VisualContext
 
-DEFAULT_PROMPT = "What is this object and what is the material?"
+PROMPT = "What is this object and what is the material?"
 DEFAULT_SCALAR = 0.5
 # provider-document keys of earlier versions, read and ignored
 _LEGACY_KEYS = ("max_in_flight",)
@@ -37,8 +37,6 @@ _LEGACY_KEYS = ("max_in_flight",)
 @dataclass(frozen=True)
 class VisualQuery:
     image_ref: str
-    prompt_text: str = DEFAULT_PROMPT
-    scene_hints: dict | None = None  # optional luminance/complexity overrides
 
     def __post_init__(self):
         if not self.image_ref:
@@ -98,12 +96,6 @@ def normalized_entropy(candidates) -> float:
     return min(h / math.log(len(candidates)), 1.0)
 
 
-def _resolve_scalar(name: str, hints, answer: dict) -> float:
-    if hints and name in hints:
-        return float(hints[name])
-    return float(answer.get(name, DEFAULT_SCALAR))
-
-
 def _fixture_answer(query: VisualQuery, config: ProviderConfig):
     """The fixture entry for the query's image: a pure lookup."""
     entry = read_document(config.fixture_path).get(query.image_ref)
@@ -130,7 +122,7 @@ def _http_answer(query: VisualQuery, config: ProviderConfig):
     except OSError as exc:
         raise ProviderError(f"cannot read image '{query.image_ref}': {exc}") from exc
     payload = {
-        "prompt": query.prompt_text,
+        "prompt": PROMPT,
         "image_base64": base64.b64encode(image_bytes).decode("ascii"),
     }
     data = json.dumps(payload).encode("utf-8")
@@ -162,8 +154,8 @@ def propose(query: VisualQuery, config: ProviderConfig) -> VisualContext:
             raise TypeError(f"answer is {type(answer).__name__}, not an object")
         ordered = tuple(sorted(parse_response(answer), key=lambda item: (-item[1], item[0])))
         return VisualContext(
-            luminance=_resolve_scalar("luminance", query.scene_hints, answer),
-            complexity=_resolve_scalar("complexity", query.scene_hints, answer),
+            luminance=float(answer.get("luminance", DEFAULT_SCALAR)),
+            complexity=float(answer.get("complexity", DEFAULT_SCALAR)),
             vlm_entropy=normalized_entropy(ordered),
             candidates=ordered,
         )

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import platform
@@ -18,6 +19,7 @@ from radmat.cli import (
     EXIT_OK,
     EXIT_PROVIDER,
     EXIT_SCENE,
+    build_parser,
     main,
 )
 from radmat.calibration import estimate_noise_power
@@ -121,6 +123,38 @@ class TestSimulate:
         assert "target 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("position_m", b"[0.0, null, 0.3]"),
+            ("dielectric_constant", b"1e400"),
+            ("facet_area_m2", b"NaN"),
+            ("radial_velocity_m_s", b"-Infinity"),
+        ],
+    )
+    def test_non_finite_target_exits_format(
+        self, tmp_path, config, fixture_position, capsys, key, raw
+    ):
+        # JSON reads null in a float array as NaN, and 1e400 as an infinity
+        entry = {**plate_entry(fixture_position, 4.0), key: "value"}
+        path = tmp_path / "scene.json"
+        path.write_bytes(canonical_bytes(scene_doc(config, [entry])).replace(b'"value"', raw))
+        assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("format: target 0: ") and "must be finite" in err
+
+    @pytest.mark.parametrize("section, key", [("scene", "seed"), ("chirp", "samples_per_chirp")])
+    def test_infinite_count_exits_format(
+        self, tmp_path, config, fixture_position, capsys, section, key
+    ):
+        # JSON reads 1e400 as an infinity, which no integer holds
+        doc = scene_doc(config, [plate_entry(fixture_position, 4.0)])
+        (doc if section == "scene" else doc[section])[key] = "count"
+        path = tmp_path / "scene.json"
+        path.write_bytes(canonical_bytes(doc).replace(b'"count"', b"1e400"))
+        assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith(f"format: {section}: ")
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("scene", "noise_power_w", "loud"),
@@ -186,14 +220,17 @@ class TestCalibrateCommand:
     ):
         from conftest import make_sphere
 
-        # measure computes the plate's sigma before the SNR check; a swamped
-        # plate must still fail as a calibration error
+        # measure computes the plate's sigma before the SNR check; a plate
+        # swamped by a loud noise cube's floor (about 4e15 W per bin) must
+        # still fail as a calibration error
         sphere = tmp_path / "sphere.rcub"
         plate = tmp_path / "plate.rcub"
+        loud = tmp_path / "loud.rcub"
         write_cube(sphere, frame_factory([make_sphere(fixture_position)], seed=11))
         write_cube(plate, frame_factory([make_plate(fixture_position, 1e6)], seed=12))
+        write_cube(loud, frame_factory([], seed=99, noise_power_w=1e11))
         argv = ["calibrate", "--sphere", str(sphere), "--plate", str(plate),
-                "--noise-power", "1e15", "--sphere-diameter", "0.063",
+                "--noise-cube", str(loud), "--sphere-diameter", "0.063",
                 "--gate", "0.1", "0.6", "-o", str(tmp_path / "profile.json")]
         assert main(argv) == EXIT_CALIBRATION
         assert "plate SNR is below the usable threshold" in capsys.readouterr().err
@@ -522,13 +559,14 @@ class TestPipeline:
         self, tmp_path, config, fixture_position, profile_path, provider_path
     ):
         # metal-like reflection from a smooth wooden box; a distance-heavy
-        # uncertainty config shifts trust to the visual branch
+        # uncertainty config shifts trust to the visual branch: gamma2 is
+        # scaled so that the 5 m distance ceiling weighs as 0.4 m would
         scene = _write_scene(tmp_path, config, fixture_position, 27.8)
         fusion_cfg = tmp_path / "fusion.json"
-        write_document(fusion_cfg, {"gamma2": 3.0})
+        write_document(fusion_cfg, {"gamma2": 3.0 * (5.0 / 0.4) ** 2})
         code, out = self._run(
             tmp_path, config, profile_path, provider_path, scene, "d6_box",
-            extra=["--max-distance", "0.4", "--fusion-config", str(fusion_cfg)],
+            extra=["--fusion-config", str(fusion_cfg)],
         )
         assert code == EXIT_OK
         doc = read_document(out)
@@ -614,6 +652,17 @@ class TestPipeline:
         code, _ = self._run(tmp_path, config, profile_path, str(provider), scene, "cup")
         assert code == EXIT_PROVIDER
 
+    @pytest.mark.parametrize("phasors", [[], {}], ids=["array", "object"])
+    def test_profile_without_phasors_exits_calibration(
+        self, tmp_path, config, fixture_position, profile, provider_path, capsys, phasors
+    ):
+        path = tmp_path / "profile.json"
+        write_document(path, {**profile.to_document(), "phase_phasors_re_im": phasors})
+        scene = _write_scene(tmp_path, config, fixture_position, 2.87)
+        code, _ = self._run(tmp_path, config, str(path), provider_path, scene, "a5_cup")
+        assert code == EXIT_CALIBRATION
+        assert "phase phasors must be a non-empty 1-D array" in capsys.readouterr().err
+
     def test_cube_and_scene_mutually_exclusive(self, tmp_path, profile_path, provider_path):
         code = main(
             [
@@ -635,3 +684,55 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "exit codes" in text
         assert "no-target" in text
+
+
+class TestSurface:
+    """The CLI's options, pinned: a new or removed flag shows up here."""
+
+    OPTIONS = {
+        "simulate": {"-h", "--help", "--output", "-o"},
+        "calibrate": {
+            "-h", "--help", "--sphere", "--plate", "--sphere-diameter", "--noise-cube",
+            "--gate", "--output", "-o",
+        },
+        "extract": {"-h", "--help", "--profile", "--gate", "--output", "-o", "--debug"},
+        "identify": {"-h", "--help", "--store", "--output", "-o"},
+        "fuse": {"-h", "--help", "--visual", "--radar", "--fusion-config", "--output", "-o"},
+        "pipeline": {
+            "-h", "--help", "--cube", "--scene", "--profile", "--store", "--provider",
+            "--image", "--gate", "--fusion-config", "--output", "-o", "--debug",
+        },
+    }
+
+    def test_option_census(self):
+        (commands,) = (
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        found = {
+            name: {option for action in sub._actions for option in action.option_strings}
+            for name, sub in commands.items()
+        }
+        assert found == self.OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "s.json", "-o", "x.rcub", "--seed", "3"],
+            ["calibrate", "--sphere", "s.rcub", "--plate", "p.rcub", "--noise-cube", "e.rcub",
+             "--sphere-diameter", "0.063", "--gate", "0.1", "0.6", "-o", "p.json",
+             "--noise-power", "1e15"],
+            ["extract", "x.rcub", "--profile", "p.json", "--gate", "0.1", "0.6", "-o", "f.json",
+             "--threshold-db", "10"],
+            ["identify", "f.json", "-o", "c.json", "--top-k", "5"],
+            ["pipeline", "--cube", "x.rcub", "--profile", "p.json", "--provider", "v.json",
+             "--image", "cup", "--gate", "0.1", "0.6", "-o", "d.json", "--max-distance", "0.4"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[-2]}",
+    )
+    def test_removed_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

@@ -7,7 +7,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "radmat"
 DOCUMENT_EXCEPTIONS = {
-    "KeyError", "TypeError", "ValueError", "DomainError", "DocumentError", "JSONDecodeError",
+    "KeyError", "TypeError", "ValueError", "OverflowError", "DomainError", "DocumentError",
+    "JSONDecodeError",
 }
 
 

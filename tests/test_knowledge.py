@@ -2,7 +2,7 @@ import pytest
 
 from radmat import DocumentError, DomainError, default_store, load_store, match, prune_visual
 from radmat.docio import write_document
-from radmat.knowledge import MaterialRecord, MaterialStore
+from radmat.knowledge import TOP_K, MaterialRecord, MaterialStore
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ class TestMatch:
 
     def test_exact_mean_with_distant_alternatives_scores_high(self):
         records = [_record("near", 5.0, mid="M1"), _record("far", 40.0, mid="M2", low=30, high=50)]
-        result = match(5.0, MaterialStore(records), top_k=2)
+        result = match(5.0, MaterialStore(records))
         assert result.top[0] == "near"
         assert result.top[1] > 0.9
 
@@ -61,19 +61,21 @@ class TestMatch:
             _record("twin b", 5.0, mid="M2"),
             _record("other", 20.0, mid="M3", low=15, high=25),
         ]
-        result = match(5.0, MaterialStore(records), top_k=3)
+        result = match(5.0, MaterialStore(records))
         scores = dict(result.candidates)
         assert scores["twin a"] == pytest.approx(scores["twin b"], rel=1e-12)
         assert {"twin a", "twin b"} <= set(result.names)
 
     def test_scores_sum_to_one(self, store):
-        result = match(7.3, store, top_k=5)
+        result = match(7.3, store)
+        assert len(result.candidates) == TOP_K
         assert sum(s for _, s in result.candidates) == pytest.approx(1.0, abs=1e-12)
 
     def test_store_order_invariance(self, store):
         reversed_store = MaterialStore(list(store)[::-1])
-        a = dict(match(6.0, store, top_k=7).candidates)
-        b = dict(match(6.0, reversed_store, top_k=7).candidates)
+        a = dict(match(6.0, store).candidates)
+        b = dict(match(6.0, reversed_store).candidates)
+        assert a.keys() == b.keys()
         for name in a:
             assert a[name] == pytest.approx(b[name], rel=1e-9)
 
@@ -125,10 +127,6 @@ class TestPruneVisual:
     def test_unknown_material_kept(self, store):
         pruned = prune_visual([("unobtainium", 1.0)], 6.8, store)
         assert pruned == [("unobtainium", 1.0)]
-
-    def test_tolerance_must_be_positive(self, store):
-        with pytest.raises(DomainError):
-            prune_visual([("plastic", 1.0)], 3.0, store, tolerance_sigma=0.0)
 
 
 class TestLoadStore:

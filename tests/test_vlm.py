@@ -10,7 +10,7 @@ import pytest
 from radmat import ProviderConfig, ProviderError, VisualQuery, propose
 from radmat.docio import write_document
 from radmat.errors import DomainError
-from radmat.vlm import normalized_entropy, parse_response
+from radmat.vlm import DEFAULT_SCALAR, PROMPT, normalized_entropy, parse_response
 
 FIXTURES = str(Path(__file__).parent / "data" / "vlm_fixtures.json")
 
@@ -74,13 +74,6 @@ class TestMockProvider:
     def test_fixture_miss(self):
         with pytest.raises(ProviderError, match="no fixture"):
             propose(VisualQuery("unknown_object"), mock_config())
-
-    def test_scene_hints_override_fixture_scalars(self):
-        ctx = propose(
-            VisualQuery("a5_cup", scene_hints={"luminance": 0.1}), mock_config()
-        )
-        assert ctx.luminance == 0.1
-        assert ctx.complexity == 0.3  # fixture value still applies
 
     @pytest.mark.parametrize(
         "entry, reason",
@@ -151,10 +144,11 @@ class TestHttpProvider:
     def test_success_round_trip(self, http_server, image_file):
         _Handler.behaviour = "ok"
         cfg = ProviderConfig(mode="http", endpoint_url=http_server)
-        ctx = propose(VisualQuery(image_file, prompt_text="what material?"), cfg)
+        ctx = propose(VisualQuery(image_file), cfg)
         assert ctx.candidates[0] == ("glass", 0.6)
         assert ctx.luminance == 0.65  # from response metadata
-        assert _Handler.seen["body"]["prompt"] == "what material?"
+        assert ctx.complexity == DEFAULT_SCALAR  # absent from the response
+        assert _Handler.seen["body"]["prompt"] == PROMPT
         assert "image_base64" in _Handler.seen["body"]
 
     def test_auth_token_from_environment(self, http_server, image_file, monkeypatch):

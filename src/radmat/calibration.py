@@ -38,21 +38,23 @@ class CalibrationProfile:
     metal_plate_rho: float | None = None
 
     def __post_init__(self):
-        if min(
+        scalars = (
             self.system_constant_k,
             self.sphere_rcs_m2,
             self.sphere_range_m,
             self.sphere_snr_linear,
             self.noise_power_w,
-        ) <= 0:
-            raise DomainError("all calibration scalars must be positive")
+        )
+        if not all(math.isfinite(x) and x > 0 for x in scalars):
+            raise DomainError("all calibration scalars must be finite and positive")
         phasors = np.asarray(self.phase_phasors, dtype=np.complex128)
         if phasors.ndim != 1 or phasors.size == 0:
             raise DomainError("phase phasors must be a non-empty 1-D array")
-        if np.any(np.abs(np.abs(phasors) - 1.0) > 1e-9):
+        if not np.all(np.abs(np.abs(phasors) - 1.0) <= 1e-9):  # also rejects NaN
             raise DomainError("phase phasors must have unit magnitude")
-        if self.metal_plate_rho is not None and self.metal_plate_rho <= 0:
-            raise DomainError("metal plate reflectivity must be positive")
+        rho = self.metal_plate_rho
+        if rho is not None and not (math.isfinite(rho) and rho > 0):
+            raise DomainError("metal plate reflectivity must be finite and positive")
         object.__setattr__(self, "phase_phasors", phasors)
 
     @property

@@ -24,6 +24,7 @@ centered ULA on load.  Every malformed file, header or payload, raises
 FormatError; every malformed scene document, DocumentError.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -156,5 +157,7 @@ def load_scene(path):
             with malformed(DocumentError, f"target {i}"):
                 targets.append(_target_from_entry(entry))
         noise = float(doc.get("noise_power_w", 0.0))
+        if not math.isfinite(noise):
+            raise ValueError(f"noise_power_w must be finite, not {noise}")
         seed = int(doc["seed"])
     return targets, config, geometry, noise, seed

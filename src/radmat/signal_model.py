@@ -41,6 +41,8 @@ DEFAULT_SAMPLE_RATE_HZ = 10.0e6
 # n_facet of the amplitude law: the facet's cos(psi) falloff exponent
 FACET_EXPONENT = 2.0
 
+_NOISE_BLOCK_VALUES = 1 << 16  # noise values drawn and added at a time; stays in cache
+
 
 @dataclass(frozen=True)
 class ChirpConfig:
@@ -225,21 +227,27 @@ def synthesize_frame(
     Doppler phase increment, and exact two-way per-antenna geometric
     phases.  Back-facing facets contribute nothing.  `phase_offsets_rad`
     injects per-antenna hardware phase errors (calibration fixtures).
-    Deterministic for a fixed seed.  The cube is built in antenna-major
-    memory; the noise is drawn in [fast, chirp, antenna] order and added
-    through a transposed view, so the samples do not depend on the layout.
+    Deterministic for a fixed seed.
+
+    The antenna-major cube is the only cube-sized allocation.  Antenna
+    plane a is built in place: from zero, add each facing target's
+    [chirp, fast] plane times its phasor at a, in scene order, then
+    apply a's phase offset.  The noise is drawn in [fast, chirp, antenna]
+    order, real parts first, in blocks of fast-time rows that are added
+    through a transposed view.  The bytes, signed zeros included, equal
+    those of the [fast, chirp, antenna] construction.
     """
-    if noise_power_w < 0:
-        raise DomainError("noise power must be >= 0")
+    if not (math.isfinite(noise_power_w) and noise_power_w >= 0):
+        raise DomainError(f"noise power must be finite and >= 0, not {noise_power_w}")
     n_fast = config.samples_per_chirp
     n_chirp = config.chirps_per_frame
     positions = geometry.element_positions
     n_ant = geometry.element_count
 
-    cube = np.zeros((n_ant, n_chirp, n_fast), dtype=np.complex128)  # antenna-major
     lam = config.wavelength_m
     fast_idx = np.arange(n_fast)
     chirp_idx = np.arange(n_chirp)
+    planes = []  # ([chirp, fast] plane, antenna phasors) of each facing target
 
     for index, target in enumerate(scene):
         name = target.label or f"target {index}"
@@ -274,19 +282,35 @@ def synthesize_frame(
         )
         dists = np.linalg.norm(positions - v, axis=1)
         ant = np.exp(-4j * np.pi * dists / lam)
-        cube += amplitude * fast[None, None, :] * slow[None, :, None] * ant[:, None, None]
+        planes.append((amplitude * fast[None, :] * slow[:, None], ant))
 
     if phase_offsets_rad is not None:
         offsets = np.asarray(phase_offsets_rad, dtype=float)
         if offsets.shape != (n_ant,):
             raise DomainError("phase offsets must provide one value per antenna")
-        cube *= np.exp(1j * offsets)[:, None, None]
+        turns = np.exp(1j * offsets)
+
+    cube = np.zeros((n_ant, n_chirp, n_fast), dtype=np.complex128)  # antenna-major
+    product = np.empty((n_chirp, n_fast), dtype=np.complex128)
+    for a in range(n_ant):
+        for plane, ant in planes:
+            np.multiply(plane, ant[a], out=product)
+            cube[a] += product
+        if phase_offsets_rad is not None:
+            cube[a] *= turns[a]
 
     if noise_power_w > 0:
         rng = np.random.default_rng(rng_seed)
         scale = np.sqrt(noise_power_w / 2.0)
-        shape = (n_fast, n_chirp, n_ant)
-        noise = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        cube += noise.transpose(2, 1, 0)
+        rows = max(1, _NOISE_BLOCK_VALUES // (n_chirp * n_ant))
+        block = np.empty((rows, n_chirp * n_ant))
+        for part in (cube.real, cube.imag):
+            for start in range(0, n_fast, rows):
+                draw = block[: min(rows, n_fast - start)]
+                rng.standard_normal(out=draw)
+                draw *= scale
+                # [fast, (chirp, antenna)] -> [antenna, chirp, fast]
+                turned = draw.T.reshape(n_chirp, n_ant, len(draw)).transpose(1, 0, 2)
+                part[:, :, start : start + len(draw)] += turned
 
     return RadarCube(cube.transpose(2, 1, 0), config, geometry)

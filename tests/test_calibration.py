@@ -242,10 +242,28 @@ class TestProfilePersistence:
         with pytest.raises(CalibrationError):
             CalibrationProfile.from_document({"kind": "calibration_profile"})
 
-    def test_phasor_magnitude_validated(self, profile):
+    @pytest.mark.parametrize("re", [2.0, math.nan])
+    def test_phasor_magnitude_validated(self, profile, re):
         doc = profile.to_document()
-        doc["phase_phasors_re_im"][0] = [2.0, 0.0]
-        with pytest.raises((CalibrationError, DomainError)):
+        doc["phase_phasors_re_im"][0] = [re, 0.0]
+        with pytest.raises(CalibrationError, match="unit magnitude"):
+            CalibrationProfile.from_document(doc)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "system_constant_k",
+            "sphere_rcs_m2",
+            "sphere_range_m",
+            "sphere_snr_linear",
+            "noise_power_w",
+            "metal_plate_rho",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_scalar_rejected(self, profile, field, value):
+        doc = {**profile.to_document(), field: value}
+        with pytest.raises(CalibrationError, match="must be finite and positive"):
             CalibrationProfile.from_document(doc)
 
 

@@ -142,6 +142,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("format: target 0: ") and "must be finite" in err
 
+    @pytest.mark.parametrize("noise_power_w", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_non_finite_noise_power_exits_format(
+        self, tmp_path, config, fixture_position, capsys, noise_power_w
+    ):
+        scene = _write_scene(tmp_path, config, fixture_position, 4.0, noise_power_w=noise_power_w)
+        out = tmp_path / "x.rcub"
+        assert main(["simulate", scene, "-o", str(out)]) == EXIT_FORMAT
+        assert "format: scene: noise_power_w must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_noise_power_exits_domain(self, tmp_path, config, fixture_position, capsys):
+        scene = _write_scene(tmp_path, config, fixture_position, 4.0, noise_power_w=-1e-3)
+        assert main(["simulate", scene, "-o", str(tmp_path / "x.rcub")]) == EXIT_DOMAIN
+        assert "noise power must be finite and >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key", [("scene", "seed"), ("chirp", "samples_per_chirp")])
     def test_infinite_count_exits_format(
         self, tmp_path, config, fixture_position, capsys, section, key
@@ -662,6 +677,17 @@ class TestPipeline:
         code, _ = self._run(tmp_path, config, str(path), provider_path, scene, "a5_cup")
         assert code == EXIT_CALIBRATION
         assert "phase phasors must be a non-empty 1-D array" in capsys.readouterr().err
+
+    def test_profile_with_nan_noise_power_exits_calibration(
+        self, tmp_path, config, fixture_position, profile, provider_path, capsys
+    ):
+        path = tmp_path / "profile.json"
+        write_document(path, {**profile.to_document(), "noise_power_w": math.nan})
+        scene = _write_scene(tmp_path, config, fixture_position, 2.87)
+        code, out = self._run(tmp_path, config, str(path), provider_path, scene, "a5_cup")
+        assert code == EXIT_CALIBRATION
+        assert "calibration scalars must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cube_and_scene_mutually_exclusive(self, tmp_path, profile_path, provider_path):
         code = main(

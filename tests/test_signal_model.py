@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from radmat import (
     beat_frequency,
     default_geometry,
     fresnel_amplitude,
+    signal_model,
     synthesize_frame,
 )
 from conftest import make_plate, padded_range_bin_m
@@ -154,6 +156,11 @@ class TestSynthesizeFrame:
             recovered = np.argmax(spectrum) * bin_m
             assert abs(recovered - range_m) <= tolerance
 
+    @pytest.mark.parametrize("noise_power_w", [math.nan, math.inf, -1e-3])
+    def test_noise_power_must_be_finite_and_non_negative(self, config, geometry, noise_power_w):
+        with pytest.raises(DomainError, match="noise power"):
+            synthesize_frame([], config, geometry, noise_power_w, 1)
+
     def test_phase_offsets_shape_checked(self, config, geometry):
         with pytest.raises(DomainError):
             synthesize_frame(
@@ -185,6 +192,8 @@ def _c_order_frame(scene, config, geometry, noise_power_w, rng_seed, phase_offse
     for target in scene:
         v, rng_m = target.position_m, target.range_m
         facing = float(np.sum(target.facet_normal * (-v / rng_m)))
+        if facing <= 0:
+            continue
         psi = float(np.arccos(np.clip(facing, 0.0, 1.0)))
         amplitude = (
             abs(fresnel_amplitude(target.dielectric_constant, psi))
@@ -215,6 +224,9 @@ SHAPES = [
     pytest.param((600, 64, 8), id="600x64x8"),
     pytest.param((256, 128, 12), id="256x128x12"),
     pytest.param((513, 100, 5), id="513x100x5"),
+    pytest.param((512, 64, 8), id="512x64x8"),
+    pytest.param((256, 2, 8), id="256x2x8"),
+    pytest.param((4, 8192, 9), id="4x8192x9"),
 ]
 
 
@@ -222,30 +234,80 @@ def _antenna_major(samples) -> bool:
     return samples.transpose(2, 1, 0).flags.c_contiguous
 
 
+def _noise_rows(shape) -> tuple:
+    """(rows per noise block, rows in the last block) of a cube shape."""
+    n_fast, n_chirp, n_ant = shape
+    rows = max(1, signal_model._NOISE_BLOCK_VALUES // (n_chirp * n_ant))
+    return rows, n_fast - rows * ((n_fast - 1) // rows)
+
+
+def _plate(position, epsilon, normal=(0.0, 0.0, -1.0)):
+    return SceneTarget(
+        position_m=np.asarray(position, dtype=float),
+        dielectric_constant=epsilon,
+        facet_normal=np.asarray(normal, dtype=float),
+        facet_area_m2=0.04,
+    )
+
+
+# a facing plate, a zero-amplitude (eps = 1) boresight plate whose products
+# hold signed zeros, a back-facing plate and a slanted mover
+REFERENCE_SCENE = [
+    _plate([0.05, 0.0, 0.3], 4.0),
+    _plate([0.0, 0.0, 0.25], 1.0),
+    _plate([0.0, 0.0, 0.4], 3.0, normal=(0.0, 0.0, 1.0)),
+    SceneTarget(
+        position_m=np.array([-0.1, 0.0, 0.5]),
+        radial_velocity_m_s=-1.0,
+        dielectric_constant=2.5,
+        facet_normal=np.array([0.6, 0.0, -0.8]),
+    ),
+]
+
+
 class TestAntennaMajorStorage:
+    def test_shapes_cover_whole_partial_and_single_row_noise_blocks(self):
+        blocks = [_noise_rows(param.values[0]) for param in SHAPES]
+        assert any(last < rows for rows, last in blocks)
+        assert any(last == rows > 1 for rows, last in blocks)
+        assert (1, 1) in blocks
+
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("noise_power_w", [0.0, 1e-2], ids=["noise-off", "noise-on"])
     @pytest.mark.parametrize("offsets", [False, True], ids=["no-offsets", "phase-offsets"])
-    def test_synthesize_frame_matches_c_order_construction(self, shape, noise_power_w, offsets):
+    @pytest.mark.parametrize(
+        "scene",
+        [REFERENCE_SCENE, REFERENCE_SCENE[1:3]],
+        ids=["mixed-scene", "zero-amplitude-only"],
+    )
+    def test_synthesize_frame_matches_c_order_construction(
+        self, shape, noise_power_w, offsets, scene
+    ):
         n_fast, n_chirp, n_ant = shape
         config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
         geometry = default_geometry(config, element_count=n_ant)
-        scene = [
-            make_plate([0.05, 0.0, 0.3], 4.0),
-            SceneTarget(
-                position_m=np.array([-0.1, 0.0, 0.5]),
-                radial_velocity_m_s=-1.0,
-                dielectric_constant=2.5,
-                facet_normal=np.array([0.6, 0.0, -0.8]),
-            ),
-        ]
-        phase_offsets = np.linspace(-1.0, 1.0, n_ant) if offsets else None
+        phase_offsets = np.linspace(-2.0, 2.5, n_ant) if offsets else None
         cube = synthesize_frame(
             scene, config, geometry, noise_power_w, 5, phase_offsets_rad=phase_offsets
         )
         assert _antenna_major(cube.samples)
         reference = _c_order_frame(scene, config, geometry, noise_power_w, 5, phase_offsets)
-        np.testing.assert_array_equal(cube.samples, reference)
+        # bytes, not values: -0.0 and +0.0 compare equal as values
+        assert cube.samples.tobytes() == reference.tobytes()
+
+    def test_only_cube_sized_allocation_is_the_cube(self):
+        config = ChirpConfig(samples_per_chirp=256, chirps_per_frame=128)
+        geometry = default_geometry(config, element_count=12)
+        scene = [
+            _plate([0.03 * k - 0.06, 0.0, 0.2 + 0.07 * k], 2.0 + k) for k in range(5)
+        ]
+        tracemalloc.start()
+        try:
+            cube = synthesize_frame(scene, config, geometry, 1e-2, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * cube.samples.nbytes
 
     def test_c_ordered_samples_copied_once_into_antenna_major(self, config, geometry):
         shape = (config.samples_per_chirp, config.chirps_per_frame, geometry.element_count)

@@ -21,7 +21,7 @@ from .docio import from_document, to_document
 from .errors import CalibrationError, DomainError
 from .prca import PrcaRegion, compute_prca
 from .signal_model import ArrayGeometry, ChirpConfig, RadarCube
-from .spectral import RangeAngleMap, TargetDetection, detection_voxel, range_doppler
+from .spectral import RangeAngleMap, TargetDetection, detection_voxel, median, range_doppler
 from .synthesis import SynthesisResult, focus, synthesize
 
 OPTICAL_REGION_FACTOR = 5.0  # minimum sphere diameter in wavelengths
@@ -29,6 +29,7 @@ OPTICAL_REGION_FACTOR = 5.0  # minimum sphere diameter in wavelengths
 
 @dataclass(frozen=True)
 class CalibrationProfile:
+    """Sphere and plate calibration of one radar: K, the sphere reference, phasors and noise."""
     system_constant_k: float
     sphere_rcs_m2: float
     sphere_range_m: float
@@ -78,7 +79,7 @@ def estimate_noise_power(empty_cube: RadarCube) -> float:
     """
     spectra = range_doppler(empty_cube).per_antenna
     power = np.abs(spectra) ** 2
-    estimate = float(np.median(power)) / math.log(2.0)
+    estimate = median(power) / math.log(2.0)
     if estimate <= 0:
         raise CalibrationError("empty-scene cube has zero power; cannot estimate noise")
     return estimate

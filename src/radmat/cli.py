@@ -7,16 +7,20 @@ so identical inputs and seeds produce byte-identical files.
 Exit codes partition the error classes:
 
     0  success
-    2  input/output file error
+    2  usage error (argparse: an unknown, missing or malformed option)
     3  scene error (e.g. target outside the unambiguous range)
     4  format error (corrupt cube or malformed document)
     5  no target inside the gate
     6  calibration error
     7  domain error (invalid values, inversion failure)
     8  visual provider error
+    9  input/output file error
 """
 
 import argparse
+import atexit
+import functools
+import gc
 import os
 import sys
 
@@ -35,13 +39,13 @@ from .fusion import FusionConfig, RadarContext, VisualContext, decide
 from .spectral import range_angle, range_doppler
 
 EXIT_OK = 0
-EXIT_IO = 2
 EXIT_SCENE = 3
 EXIT_FORMAT = 4
 EXIT_NO_TARGET = 5
 EXIT_CALIBRATION = 6
 EXIT_DOMAIN = 7
 EXIT_PROVIDER = 8
+EXIT_IO = 9
 
 _EXIT_BY_ERROR = (
     (SceneError, EXIT_SCENE, "scene"),
@@ -55,8 +59,8 @@ _EXIT_BY_ERROR = (
 )
 
 _EPILOG = (
-    "exit codes: 0 ok, 2 io, 3 scene, 4 format, 5 no-target, "
-    "6 calibration, 7 domain, 8 provider"
+    "exit codes: 0 ok, 2 usage, 3 scene, 4 format, 5 no-target, "
+    "6 calibration, 7 domain, 8 provider, 9 io"
 )
 
 
@@ -226,7 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Have the interpreter freeze the garbage collector at exit, once per process.
+
+    The heap at exit is mostly what the imports built, which lives until
+    then anyway; frozen, the shutdown collections skip it.  A frozen cycle
+    is never finalized, so every writer closes its file before `main`
+    returns.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -25,6 +25,7 @@ from .knowledge import RadarCandidateSet, check_candidates
 
 @dataclass(frozen=True)
 class VisualContext:
+    """The visual branch's scalars and ranked material candidates."""
     luminance: float
     complexity: float
     vlm_entropy: float
@@ -61,6 +62,7 @@ class VisualContext:
 
 @dataclass(frozen=True)
 class RadarContext:
+    """The radar branch's SNR, geometry and ranked material candidates."""
     snr_linear: float
     distance_m: float
     max_distance_m: float
@@ -134,6 +136,7 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class FusionDecision:
+    """The fused material, the branch weights and scores, and how they were reached."""
     material: str
     w_vis: float
     w_rad: float

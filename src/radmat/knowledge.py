@@ -23,6 +23,7 @@ TOLERANCE_SIGMA = 2.0
 
 @dataclass(frozen=True)
 class MaterialRecord:
+    """One material's dielectric constant: mean, spread and plausible interval."""
     material_id: str
     name: str
     epsilon_mean: float

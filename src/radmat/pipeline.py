@@ -22,6 +22,7 @@ MAX_DISTANCE_M = 5.0
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """The features of one frame with the detection, synthesis and region behind them."""
     features: EmFeatureVector
     detection: TargetDetection
     synthesis: SynthesisResult
@@ -67,6 +68,7 @@ def extract_from_cube(cube: RadarCube, profile: CalibrationProfile, gate_m) -> E
 
 @dataclass(frozen=True)
 class PipelineOutcome:
+    """The fusion decision of one frame with the inputs it was decided from."""
     decision: FusionDecision
     features: EmFeatureVector
     radar_candidates: RadarCandidateSet

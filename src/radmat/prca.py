@@ -23,6 +23,7 @@ from .spectral import RangeAngleMap
 
 @dataclass(frozen=True)
 class PrcaRegion:
+    """The half-power region around the peak cell of a range-angle map, with its area."""
     cell_indices: tuple  # ((range_bin, angle_bin), ...)
     area_m2: float
     peak_index: tuple

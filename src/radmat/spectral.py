@@ -104,6 +104,25 @@ def _gate_rows(gate_m, range_bin_m: float, range_bins: int) -> tuple[int, int]:
     return lo, hi
 
 
+def median(values: np.ndarray) -> float:
+    """`np.median` of all of `values` (non-empty), to the byte, without `numpy.ma`.
+
+    The first `np.median` of a process imports all of `numpy.ma` for its
+    NaN check.  This partitions at the ranks `np.median` does, the middle
+    one or two and the last, so ties and signed zeros land where they land
+    there, and averages the middle ones with the same `mean`.  A NaN sorts
+    last, so any NaN makes the result that last value, as in `np.median`.
+    """
+    size = np.size(values)
+    half = size // 2
+    middle = [half] if size % 2 else [half - 1, half]
+    # axis=None partitions one flattened copy, as `np.median` does
+    part = np.partition(values, middle + [-1], axis=None)
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[middle[0] : half + 1].mean())
+
+
 @dataclass(frozen=True)
 class RangeDopplerMap:
     """Antenna-accumulated magnitude map plus per-antenna complex spectra.
@@ -362,7 +381,7 @@ def _gate_peak(rd_map: RangeDopplerMap, gate_m) -> tuple[int, int]:
     gated = rd_map.magnitudes[lo - first : hi - first]
     r_off, d_bin = np.unravel_index(int(np.argmax(gated)), gated.shape)
     peak = float(gated[r_off, d_bin])
-    threshold = float(np.median(gated)) * 10.0 ** (THRESHOLD_DB / 20.0)
+    threshold = median(gated) * 10.0 ** (THRESHOLD_DB / 20.0)
     if peak <= 0.0 or peak < threshold:
         raise NoTargetError(
             f"no cell in gate [{float(gate_m[0])}, {float(gate_m[1])}] m above "

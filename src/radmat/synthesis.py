@@ -26,6 +26,7 @@ from .spectral import TargetDetection, detection_voxel
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """Focused per-antenna signals, their coherence weights and the enhanced SNR."""
     focused_signals: np.ndarray  # complex, per antenna
     coherent_sum: complex
     weights: np.ndarray  # real, per antenna

@@ -36,6 +36,7 @@ _LEGACY_KEYS = ("max_in_flight",)
 
 @dataclass(frozen=True)
 class VisualQuery:
+    """The image a visual provider is asked about."""
     image_ref: str
 
     def __post_init__(self):
@@ -45,6 +46,7 @@ class VisualQuery:
 
 @dataclass(frozen=True)
 class ProviderConfig:
+    """Which visual provider to ask: a mock fixture file or an HTTP endpoint."""
     mode: str  # "mock" | "http"
     endpoint_url: str | None = None
     auth_token_env_name: str | None = None

@@ -4,10 +4,14 @@ All simulator fixtures share one geometry and one bin-centered range so
 that calibration ratios cancel processing gains exactly.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import radmat
 from radmat import (
     ArrayGeometry,
     ChirpConfig,
@@ -26,6 +30,13 @@ SPHERE_DIAMETER_M = 0.063
 FIXTURE_NOISE_W = 1e-2
 GATE_M = (0.1, 0.6)
 METAL_EPSILON = 1.0e6
+
+
+def child_env(**extra) -> dict:
+    """This process's environment plus `extra`, with PYTHONPATH set so that
+    a child process imports the same radmat as this one."""
+    path = [str(Path(radmat.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def padded_range_bin_m(config: ChirpConfig) -> float:

@@ -1,6 +1,5 @@
 import argparse
 import math
-import os
 import platform
 import struct
 import subprocess
@@ -27,7 +26,7 @@ from radmat.cube_io import read_cube, write_cube
 from radmat.docio import canonical_bytes, read_document, write_document
 from radmat.pipeline import calibrate_from_cubes
 from radmat.spectral import range_angle, range_doppler
-from conftest import FIXTURE_NOISE_W, make_plate
+from conftest import FIXTURE_NOISE_W, child_env, make_plate
 
 try:  # numpy >= 2
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
@@ -610,14 +609,11 @@ class TestPipeline:
         if not all(CPU_FEATURES.get(f) for f in OPENBLAS_KERNELS[kernel]):
             pytest.skip(f"this CPU cannot run the {kernel} kernel")
         test_id = f"{Path(__file__).name}::TestPipeline::test_b7_known_failure_golden"
-        # the child imports the same radmat as this process
-        path = [str(Path(radmat.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "--basetemp", str(tmp_path / "run"), test_id],
-            cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300,
+            cwd=Path(__file__).parent, env=child_env(OPENBLAS_CORETYPE=kernel),
+            capture_output=True, text=True, timeout=300,
         )
         assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
@@ -688,6 +684,15 @@ class TestPipeline:
         assert code == EXIT_CALIBRATION
         assert "calibration scalars must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_cube_file_exits_io(self, tmp_path, profile_path, provider_path, capsys):
+        code = main(
+            ["pipeline", "--cube", str(tmp_path / "nope.rcub"), "--profile", profile_path,
+             "--provider", provider_path, "--image", "a5_cup", "--gate", "0.1", "0.6",
+             "-o", str(tmp_path / "d.json")]
+        )
+        assert code == EXIT_IO == 9  # not argparse's usage status 2
+        assert "io:" in capsys.readouterr().err
 
     def test_cube_and_scene_mutually_exclusive(self, tmp_path, profile_path, provider_path):
         code = main(
@@ -760,5 +765,5 @@ class TestSurface:
     def test_removed_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
-        assert exit_info.value.code == 2
+        assert exit_info.value.code == 2 != EXIT_IO  # a usage error, not a file error
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

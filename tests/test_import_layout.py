@@ -1,5 +1,7 @@
 """Every module imports at its top: no import inside a function, and no
-`TYPE_CHECKING` block standing in for an import cycle."""
+`TYPE_CHECKING` block standing in for an import cycle.  Every dataclass
+has a docstring: without one, `dataclasses` builds `__doc__` from
+`inspect.signature` at import."""
 
 import ast
 from pathlib import Path
@@ -25,3 +27,20 @@ def test_imports_sit_at_module_tops():
             in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
         ]
     assert not offenders, offenders
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None))
+
+
+def test_dataclasses_have_docstrings():
+    missing = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+        and ast.get_docstring(node) is None
+    ]
+    assert not missing, missing

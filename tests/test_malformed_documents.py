@@ -31,7 +31,8 @@ ELEMENTS = 4
 GATE = ("0.1", "3.0")
 NOISE_W = 1e-2
 WRONG_VALUES = (None, "x", [], [1], {})
-EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
+# every status main returns; argparse's usage status 2 is raised, not returned
+EXIT_CODES = {0, 3, 4, 5, 6, 7, 8, 9}
 
 
 @functools.cache

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radmat import (
     ArrayGeometry,
@@ -28,6 +29,7 @@ from radmat.spectral import (
     _default_weights,
     _dft_block,
     _twiddles,
+    median,
     range_angle_at_doppler,
     steering_matrix,
 )
@@ -580,3 +582,50 @@ class TestShapeConstants:
         for cube, expected in zip(cubes, alone):
             _assert_frame_equal(cube, expected)
         assert _builds() == built  # both shapes stay cached
+
+
+# values that collide under a partition: both zeros, the smallest
+# subnormals, ties and the infinities
+MEDIAN_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1.0, -1.0, math.inf, -math.inf)
+NANS = (math.nan, -math.nan, np.frombuffer(bytes.fromhex("0100000000f8ff7f"))[0])
+
+
+def _median_inputs(elements):
+    shapes = st.one_of(
+        st.tuples(st.integers(1, 64)), st.tuples(st.integers(1, 8), st.integers(1, 8))
+    )
+    return hnp.arrays(np.float64, shapes, elements=elements)
+
+
+def _median_bytes(fn, values) -> bytes:
+    # -inf and inf as the middle pair average to NaN in both, with a warning
+    with np.errstate(all="ignore"):
+        return np.float64(fn(values)).tobytes()
+
+
+class TestMedian:
+    """`spectral.median` is `np.median` of the whole array, to the byte."""
+
+    @settings(max_examples=300)
+    @given(
+        _median_inputs(
+            st.one_of(st.sampled_from(MEDIAN_EDGES), st.floats(allow_nan=False, width=64))
+        )
+    )
+    def test_same_bytes_as_numpy(self, values):
+        assert _median_bytes(median, values) == _median_bytes(np.median, values)
+
+    @settings(max_examples=100)
+    @given(
+        _median_inputs(st.one_of(st.sampled_from(MEDIAN_EDGES), st.floats(width=64))),
+        st.data(),
+    )
+    def test_any_nan_gives_nan(self, values, data):
+        index = data.draw(st.tuples(*(st.integers(0, n - 1) for n in values.shape)))
+        values[index] = data.draw(st.sampled_from(NANS))
+        assert math.isnan(median(values))
+        assert _median_bytes(median, values) == _median_bytes(np.median, values)
+
+    def test_even_size_averages_the_middle_pair(self):
+        assert median(np.array([[4.0, 1.0], [3.0, 2.0]])) == 2.5
+        assert median(np.array([3.0, 1.0, 2.0])) == 2.0

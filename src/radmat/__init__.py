@@ -8,6 +8,10 @@ reference gives the Fresnel reflection coefficient, which inverts to the
 relative dielectric constant -- an intrinsic material signature.  A
 reference store matches it to material candidates, and an
 uncertainty-gated fusion step arbitrates against visual candidates.
+
+The package root is the radar chain, matching and fusion.  The visual
+branch, whose HTTP provider brings in the standard library's HTTP
+client, is not imported here: callers import `radmat.vlm` explicitly.
 """
 
 from .calibration import CalibrationProfile, Measurement, calibrate_plate, calibrate_sphere, measure, rcs_from_snr
@@ -59,6 +63,5 @@ from .spectral import (
     range_doppler,
 )
 from .synthesis import SynthesisResult, focus, synthesize
-from .vlm import ProviderConfig, VisualQuery, propose
 
 __version__ = "0.1.0"

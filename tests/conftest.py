@@ -4,7 +4,11 @@ All simulator fixtures share one geometry and one bin-centered range so
 that calibration ratios cancel processing gains exactly.
 """
 
+import json
 import os
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +41,55 @@ def child_env(**extra) -> dict:
     a child process imports the same radmat as this one."""
     path = [str(Path(radmat.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+class ProviderHandler(BaseHTTPRequestHandler):
+    """A visual provider's HTTP endpoint.  `behaviour` picks the answer;
+    `seen` holds the last request's JSON body and Authorization header."""
+
+    behaviour = "ok"
+    seen = {}
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length))
+        type(self).seen = {"body": body, "auth": self.headers.get("Authorization")}
+        if self.behaviour == "slow":
+            time.sleep(1.0)
+        if self.behaviour == "error":
+            self.send_response(500)
+            self.end_headers()
+            return
+        if self.behaviour == "garbage":
+            payload = b"not json"
+        elif self.behaviour == "bright":
+            payload = json.dumps({"candidates": [["glass", 1.0]], "luminance": "bright"}).encode()
+        elif self.behaviour == "array":
+            payload = b"[]"
+        else:
+            payload = json.dumps(
+                {"candidates": [["glass", 0.6], ["plastic", 0.4]], "luminance": 0.65}
+            ).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def http_server():
+    """The endpoint URL of a local `ProviderHandler` server that answers "ok"
+    until a test sets another behaviour."""
+    ProviderHandler.behaviour = "ok"
+    server = HTTPServer(("127.0.0.1", 0), ProviderHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/infer"
+    server.shutdown()
+    server.server_close()
 
 
 def padded_range_bin_m(config: ChirpConfig) -> float:

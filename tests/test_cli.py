@@ -644,6 +644,19 @@ class TestPipeline:
         ]
         assert not list(tmp_path.glob("run.*.json"))
 
+    def test_http_provider_answer_reaches_the_decision(
+        self, tmp_path, config, fixture_position, profile_path, http_server
+    ):
+        provider, image = tmp_path / "provider.json", tmp_path / "object.png"
+        write_document(provider, {"mode": "http", "endpoint_url": http_server})
+        image.write_bytes(b"\x89PNG fake image bytes")
+        scene = _write_scene(tmp_path, config, fixture_position, 2.87)
+        code, out = self._run(tmp_path, config, profile_path, str(provider), scene, str(image))
+        assert code == EXIT_OK
+        # "glass" has no store record and plastic fits ε 2.87, so pruning keeps both
+        visual = read_document(out)["inputs"]["visual_context"]
+        assert visual["candidates"] == [["glass", 0.6], ["plastic", 0.4]]
+
     @pytest.mark.parametrize(
         "entry",
         [

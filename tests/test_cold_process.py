@@ -2,7 +2,8 @@
 
 `calibrate` and `pipeline` never import `numpy.ma`, `main` registers one
 exit hook however often it runs, and a process writes the same bytes as
-a `main` call in this one.
+a `main` call in this one.  `import radmat` leaves out the visual branch
+and its HTTP client; `radmat.cli` brings them in.
 """
 
 import json
@@ -36,6 +37,17 @@ registered = atexit._ncallbacks()
 unfrozen = gc.get_freeze_count() == 0
 atexit._run_exitfuncs()
 print(json.dumps([before, imported, registered, codes, unfrozen, gc.get_freeze_count() > 0]))
+"""
+
+# which of the visual branch's modules `import radmat` loaded, then whether
+# `import radmat.cli` loaded `radmat.vlm`
+VISUAL_MODULES = ("radmat.vlm", "urllib.request", "http.client", "ssl", "email.parser")
+BOUNDARY_PROBE = f"""
+import json, sys
+import radmat
+root = [name for name in {VISUAL_MODULES!r} if name in sys.modules]
+import radmat.cli
+print(json.dumps([root, "radmat.vlm" in sys.modules]))
 """
 
 
@@ -101,3 +113,11 @@ def test_main_registers_one_exit_hook(tmp_path):
     assert registered == before + 1
     assert codes == [EXIT_IO, EXIT_IO]
     assert unfrozen and frozen
+
+
+def test_package_root_leaves_out_the_visual_branch(tmp_path):
+    run = _run(BOUNDARY_PROBE, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr[-3000:]
+    root, cli_loads_vlm = json.loads(run.stdout)
+    assert root == []
+    assert cli_loads_vlm

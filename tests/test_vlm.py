@@ -1,16 +1,23 @@
-import json
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
-from radmat import ProviderConfig, ProviderError, VisualQuery, propose
+from radmat import ProviderError
 from radmat.docio import write_document
 from radmat.errors import DomainError
-from radmat.vlm import DEFAULT_SCALAR, PROMPT, normalized_entropy, parse_response
+from radmat.vlm import (
+    DEFAULT_SCALAR,
+    PROMPT,
+    ProviderConfig,
+    VisualQuery,
+    normalized_entropy,
+    parse_response,
+    propose,
+)
+from conftest import ProviderHandler
 
 FIXTURES = str(Path(__file__).parent / "data" / "vlm_fixtures.json")
 
@@ -91,48 +98,6 @@ class TestMockProvider:
             propose(VisualQuery("cup"), config)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    behaviour = "ok"
-    seen = {}
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        type(self).seen = {"body": body, "auth": self.headers.get("Authorization")}
-        if self.behaviour == "slow":
-            time.sleep(1.0)
-        if self.behaviour == "error":
-            self.send_response(500)
-            self.end_headers()
-            return
-        if self.behaviour == "garbage":
-            payload = b"not json"
-        elif self.behaviour == "bright":
-            payload = json.dumps({"candidates": [["glass", 1.0]], "luminance": "bright"}).encode()
-        elif self.behaviour == "array":
-            payload = b"[]"
-        else:
-            payload = json.dumps(
-                {"candidates": [["glass", 0.6], ["plastic", 0.4]], "luminance": 0.65}
-            ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/infer"
-    server.shutdown()
-
-
 @pytest.fixture()
 def image_file(tmp_path):
     path = tmp_path / "object.png"
@@ -142,23 +107,21 @@ def image_file(tmp_path):
 
 class TestHttpProvider:
     def test_success_round_trip(self, http_server, image_file):
-        _Handler.behaviour = "ok"
         cfg = ProviderConfig(mode="http", endpoint_url=http_server)
         ctx = propose(VisualQuery(image_file), cfg)
         assert ctx.candidates[0] == ("glass", 0.6)
         assert ctx.luminance == 0.65  # from response metadata
         assert ctx.complexity == DEFAULT_SCALAR  # absent from the response
-        assert _Handler.seen["body"]["prompt"] == PROMPT
-        assert "image_base64" in _Handler.seen["body"]
+        assert ProviderHandler.seen["body"]["prompt"] == PROMPT
+        assert "image_base64" in ProviderHandler.seen["body"]
 
     def test_auth_token_from_environment(self, http_server, image_file, monkeypatch):
-        _Handler.behaviour = "ok"
         monkeypatch.setenv("RADMAT_TEST_TOKEN", "sekrit")
         cfg = ProviderConfig(
             mode="http", endpoint_url=http_server, auth_token_env_name="RADMAT_TEST_TOKEN"
         )
         propose(VisualQuery(image_file), cfg)
-        assert _Handler.seen["auth"] == "Bearer sekrit"
+        assert ProviderHandler.seen["auth"] == "Bearer sekrit"
 
     def test_missing_auth_token_fails(self, http_server, image_file, monkeypatch):
         monkeypatch.delenv("RADMAT_NO_SUCH_TOKEN", raising=False)
@@ -169,13 +132,13 @@ class TestHttpProvider:
             propose(VisualQuery(image_file), cfg)
 
     def test_non_2xx_is_error(self, http_server, image_file):
-        _Handler.behaviour = "error"
+        ProviderHandler.behaviour = "error"
         cfg = ProviderConfig(mode="http", endpoint_url=http_server)
         with pytest.raises(ProviderError, match="HTTP 500"):
             propose(VisualQuery(image_file), cfg)
 
     def test_malformed_body_is_error(self, http_server, image_file):
-        _Handler.behaviour = "garbage"
+        ProviderHandler.behaviour = "garbage"
         cfg = ProviderConfig(mode="http", endpoint_url=http_server)
         with pytest.raises(ProviderError, match="non-JSON"):
             propose(VisualQuery(image_file), cfg)
@@ -184,20 +147,18 @@ class TestHttpProvider:
         "behaviour, reason", [("bright", "bright"), ("array", "not an object")]
     )
     def test_faulty_answer_is_error(self, http_server, image_file, behaviour, reason):
-        _Handler.behaviour = behaviour
+        ProviderHandler.behaviour = behaviour
         cfg = ProviderConfig(mode="http", endpoint_url=http_server)
         with pytest.raises(ProviderError, match=reason):
             propose(VisualQuery(image_file), cfg)
-        _Handler.behaviour = "ok"
 
     def test_timeout_is_error_not_hang(self, http_server, image_file):
-        _Handler.behaviour = "slow"
+        ProviderHandler.behaviour = "slow"
         cfg = ProviderConfig(mode="http", endpoint_url=http_server, timeout_ms=200)
         started = time.monotonic()
         with pytest.raises(ProviderError, match="timed out"):
             propose(VisualQuery(image_file), cfg)
         assert time.monotonic() - started < 5.0
-        _Handler.behaviour = "ok"
 
     def test_malformed_status_line_is_transport_failure(self, image_file):
         listener = socket.create_server(("127.0.0.1", 0))

@@ -32,7 +32,6 @@ from .errors import (
     SceneError,
 )
 from .fusion import (
-    FusionConfig,
     FusionDecision,
     RadarContext,
     VisualContext,

@@ -1,8 +1,8 @@
 """System calibration from a metal sphere and a smooth metal plate.
 
 The sphere (diameter well into the optical scattering region, enforced
-as d >= 5*lambda) pins the radar-equation constant K = SNR_c * R_c^4 /
-sigma_c with sigma_c = pi*(d/2)^2, and yields per-antenna phase phasors
+as d >= 5*lambda) pins the radar equation by its RCS sigma_c = pi*(d/2)^2,
+range R_c and SNR_c, and yields per-antenna phase phasors
 C_j = exp(-j*(phi_meas_j - phi_cali_j)) that cancel hardware offsets.
 The plate, measured after the sphere, provides the power reflection of a
 perfect reflector; material reflectivities are later normalized by it.
@@ -25,12 +25,13 @@ from .spectral import RangeAngleMap, TargetDetection, detection_voxel, median, r
 from .synthesis import SynthesisResult, focus, synthesize
 
 OPTICAL_REGION_FACTOR = 5.0  # minimum sphere diameter in wavelengths
+# profile-document keys besides the fields; the retired `system_constant_k` is read and ignored
+_EXTRA_KEYS = ("version", "system_constant_k")
 
 
 @dataclass(frozen=True)
 class CalibrationProfile:
-    """Sphere and plate calibration of one radar: K, the sphere reference, phasors and noise."""
-    system_constant_k: float
+    """Sphere and plate calibration of one radar: the sphere reference, phasors and noise."""
     sphere_rcs_m2: float
     sphere_range_m: float
     sphere_snr_linear: float
@@ -40,7 +41,6 @@ class CalibrationProfile:
 
     def __post_init__(self):
         scalars = (
-            self.system_constant_k,
             self.sphere_rcs_m2,
             self.sphere_range_m,
             self.sphere_snr_linear,
@@ -67,7 +67,7 @@ class CalibrationProfile:
 
     @classmethod
     def from_document(cls, doc: dict) -> "CalibrationProfile":
-        return from_document(cls, doc, CalibrationError, "calibration_profile", ("version",))
+        return from_document(cls, doc, CalibrationError, "calibration_profile", _EXTRA_KEYS)
 
 
 def estimate_noise_power(empty_cube: RadarCube) -> float:
@@ -121,7 +121,6 @@ def calibrate_sphere(
         raise CalibrationError("sphere signal has zero synthesized power")
 
     return CalibrationProfile(
-        system_constant_k=snr_c * detection.range_m**4 / sigma_c,
         sphere_rcs_m2=sigma_c,
         sphere_range_m=detection.range_m,
         sphere_snr_linear=snr_c,

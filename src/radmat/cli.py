@@ -35,7 +35,7 @@ from .errors import (
     ProviderError,
     SceneError,
 )
-from .fusion import FusionConfig, RadarContext, VisualContext, decide
+from .fusion import RadarContext, VisualContext, decide
 from .spectral import range_angle, range_doppler
 
 EXIT_OK = 0
@@ -72,12 +72,6 @@ def _load_store(path) -> knowledge.MaterialStore:
     return knowledge.default_store() if path is None else knowledge.load_store(path)
 
 
-def _fusion_config(path) -> FusionConfig:
-    if path is None:
-        return FusionConfig()
-    return FusionConfig.from_document(docio.read_document(path))
-
-
 def _simulate_scene(path) -> signal_model.RadarCube:
     """The cube of the scene document, simulated with the document's seed."""
     return signal_model.synthesize_frame(*cube_io.load_scene(path))
@@ -101,7 +95,7 @@ def cmd_calibrate(args) -> int:
         (args.gate[0], args.gate[1]),
     )
     docio.write_document(args.output, profile.to_document())
-    print(f"wrote {args.output}: K={profile.system_constant_k:.6g}")
+    print(f"wrote {args.output}: metal_plate_rho={profile.metal_plate_rho:.6g}")
     return EXIT_OK
 
 
@@ -135,7 +129,7 @@ def cmd_identify(args) -> int:
 def cmd_fuse(args) -> int:
     visual = VisualContext.from_document(docio.read_document(args.visual))
     radar = RadarContext.from_document(docio.read_document(args.radar))
-    decision = decide(visual, radar, _fusion_config(args.fusion_config))
+    decision = decide(visual, radar)
     docio.write_document(args.output, decision.to_document())
     print(f"wrote {args.output}: {decision.material} ({decision.mode})")
     return EXIT_OK
@@ -151,9 +145,7 @@ def cmd_pipeline(args) -> int:
 
     extraction = pipeline.extract_from_cube(cube, profile, (args.gate[0], args.gate[1]))
     visual = vlm.propose(vlm.VisualQuery(image_ref=args.image), provider_cfg)
-    outcome = pipeline.run_identification(
-        extraction.features, visual, store, fusion_config=_fusion_config(args.fusion_config)
-    )
+    outcome = pipeline.run_identification(extraction.features, visual, store)
     docio.write_document(args.output, outcome.to_document())
     if args.debug:
         base = os.path.splitext(args.output)[0]
@@ -210,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="visual + radar context documents -> decision")
     p.add_argument("--visual", required=True)
     p.add_argument("--radar", required=True)
-    p.add_argument("--fusion-config", default=None)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_fuse)
 
@@ -222,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provider", required=True, help="provider config document")
     p.add_argument("--image", required=True, help="image reference for the visual branch")
     _add_gate(p)
-    p.add_argument("--fusion-config", default=None)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--debug", action="store_true")
     p.set_defaults(func=cmd_pipeline)

@@ -1,9 +1,10 @@
 """Uncertainty-gated fusion of visual and radar candidate sets.
 
-Per-branch uncertainties:
+Per-branch uncertainties, each coefficient 1/3 (`LAMBDA*`, `GAMMA*`) and the
+SNR floor 1e-6 (`SNR_FLOOR`):
 
     U_vis = l1*(1 - I_lum) + l2*I_cplx + l3*H_vlm
-    U_rad = g1/max(SNR, floor) + g2*(d/d_max)^2 + g3*(1 - cos(theta))
+    U_rad = g1/max(SNR, floor) + g2*min(d/d_max, 1)^2 + g3*(1 - cos(theta))
 
 mapped to weights through a two-way softmax over negative uncertainties,
 w_vis = exp(-U_vis) / (exp(-U_vis) + exp(-U_rad)), w_rad = 1 - w_vis.
@@ -12,7 +13,7 @@ When the candidate name sets intersect, the common material with the
 highest weighted probability wins.  When they are disjoint, the branch
 scores S_vis = w_vis * P_vis(top) and S_rad = w_rad * P_rad(top) are
 compared and the stronger branch's top candidate is returned; exact ties
-resolve toward radar (it reads intrinsic properties), configurably.
+resolve toward radar (it reads intrinsic properties).
 """
 
 import math
@@ -21,6 +22,10 @@ from dataclasses import dataclass
 from .docio import check_keys, from_document, malformed, to_document
 from .errors import DomainError
 from .knowledge import RadarCandidateSet, check_candidates
+
+LAMBDA1 = LAMBDA2 = LAMBDA3 = 1.0 / 3.0
+GAMMA1 = GAMMA2 = GAMMA3 = 1.0 / 3.0
+SNR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,8 @@ class RadarContext:
     def __post_init__(self):
         if self.snr_linear <= 0:
             raise DomainError("SNR must be positive")
-        if not 0.0 < self.distance_m <= self.max_distance_m:
-            raise DomainError("need 0 < distance <= max_distance")
+        if not (self.distance_m > 0.0 and self.max_distance_m > 0.0):
+            raise DomainError("distance and max_distance must be positive")
         if not 0.0 <= self.incidence_angle_rad < math.pi / 2:
             raise DomainError("incidence angle must lie in [0, pi/2)")
 
@@ -102,39 +107,6 @@ class RadarContext:
 
 
 @dataclass(frozen=True)
-class FusionConfig:
-    """Explicit uncertainty coefficients; defaults weigh all terms equally."""
-
-    lambda1: float = 1.0 / 3.0
-    lambda2: float = 1.0 / 3.0
-    lambda3: float = 1.0 / 3.0
-    gamma1: float = 1.0 / 3.0
-    gamma2: float = 1.0 / 3.0
-    gamma3: float = 1.0 / 3.0
-    snr_floor: float = 1e-6
-    conflict_tie_break: str = "radar"
-
-    def __post_init__(self):
-        lams = (self.lambda1, self.lambda2, self.lambda3)
-        gams = (self.gamma1, self.gamma2, self.gamma3)
-        if any(v < 0 for v in lams + gams):
-            raise DomainError("uncertainty coefficients must be >= 0")
-        if sum(lams) <= 0 or sum(gams) <= 0:
-            raise DomainError("coefficient groups must each sum above 0")
-        if self.snr_floor <= 0:
-            raise DomainError("snr_floor must be positive")
-        if self.conflict_tie_break not in ("radar", "visual"):
-            raise DomainError("conflict_tie_break must be 'radar' or 'visual'")
-
-    def to_document(self) -> dict:
-        return to_document(self, "fusion_config")
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "FusionConfig":
-        return from_document(cls, doc, DomainError, "fusion_config")
-
-
-@dataclass(frozen=True)
 class FusionDecision:
     """The fused material, the branch weights and scores, and how they were reached."""
     material: str
@@ -155,19 +127,19 @@ class FusionDecision:
         return to_document(self, "fusion_decision")
 
 
-def visual_uncertainty(ctx: VisualContext, config: FusionConfig) -> float:
+def visual_uncertainty(ctx: VisualContext) -> float:
     return (
-        config.lambda1 * (1.0 - ctx.luminance)
-        + config.lambda2 * ctx.complexity
-        + config.lambda3 * ctx.vlm_entropy
+        LAMBDA1 * (1.0 - ctx.luminance)
+        + LAMBDA2 * ctx.complexity
+        + LAMBDA3 * ctx.vlm_entropy
     )
 
 
-def radar_uncertainty(ctx: RadarContext, config: FusionConfig) -> float:
+def radar_uncertainty(ctx: RadarContext) -> float:
     return (
-        config.gamma1 / max(ctx.snr_linear, config.snr_floor)
-        + config.gamma2 * (ctx.distance_m / ctx.max_distance_m) ** 2
-        + config.gamma3 * (1.0 - math.cos(ctx.incidence_angle_rad))
+        GAMMA1 / max(ctx.snr_linear, SNR_FLOOR)
+        + GAMMA2 * min(ctx.distance_m / ctx.max_distance_m, 1.0) ** 2
+        + GAMMA3 * (1.0 - math.cos(ctx.incidence_angle_rad))
     )
 
 
@@ -184,13 +156,10 @@ def gate(u_vis: float, u_rad: float):
     return w_vis, 1.0 - w_vis
 
 
-def decide(
-    visual: VisualContext, radar: RadarContext, config: FusionConfig | None = None
-) -> FusionDecision:
+def decide(visual: VisualContext, radar: RadarContext) -> FusionDecision:
     """Arbitrate between branches; the trace records every intermediate."""
-    config = config or FusionConfig()
-    u_vis = visual_uncertainty(visual, config)
-    u_rad = radar_uncertainty(radar, config)
+    u_vis = visual_uncertainty(visual)
+    u_rad = radar_uncertainty(radar)
     w_vis, w_rad = gate(u_vis, u_rad)
 
     lines = [
@@ -228,8 +197,8 @@ def decide(
         s_vis = w_vis * p_vis
         s_rad = w_rad * p_rad
         if abs(s_vis - s_rad) < 1e-9:
-            material = top_rad_name if config.conflict_tie_break == "radar" else top_vis_name
-            lines.append(f"conflict tie S_vis~=S_rad -> {config.conflict_tie_break} branch")
+            material = top_rad_name
+            lines.append("conflict tie S_vis~=S_rad -> radar branch")
         elif s_vis > s_rad:
             material = top_vis_name
         else:

@@ -9,14 +9,14 @@ from dataclasses import dataclass, replace
 from .calibration import CalibrationProfile, calibrate_plate, calibrate_sphere, measure
 from .dielectric import EmFeatureVector, extract_features
 from .errors import CalibrationError
-from .fusion import FusionConfig, FusionDecision, RadarContext, VisualContext, decide
+from .fusion import FusionDecision, RadarContext, VisualContext, decide
 from .knowledge import MaterialStore, RadarCandidateSet, match, prune_visual
 from .prca import PrcaRegion
 from .signal_model import RadarCube
 from .spectral import RangeAngleMap, RangeDopplerMap, TargetDetection, detect_gated, range_doppler
 from .synthesis import SynthesisResult
 
-# the radar context's distance ceiling; its distance uncertainty is gamma2 * (d / MAX_DISTANCE_M)**2
+# the radar context's distance ceiling, past which its distance uncertainty stops growing
 MAX_DISTANCE_M = 5.0
 
 
@@ -85,11 +85,7 @@ class PipelineOutcome:
 
 
 def run_identification(
-    features: EmFeatureVector,
-    visual: VisualContext,
-    store: MaterialStore,
-    *,
-    fusion_config: FusionConfig | None = None,
+    features: EmFeatureVector, visual: VisualContext, store: MaterialStore
 ) -> PipelineOutcome:
     """Match, prune the visual set against the measurement, and fuse."""
     radar_candidates = match(features.dielectric_constant, store)
@@ -102,5 +98,5 @@ def run_identification(
         incidence_angle_rad=abs(features.angle_rad),
         candidates=radar_candidates,
     )
-    decision = decide(pruned_visual, radar_ctx, fusion_config)
+    decision = decide(pruned_visual, radar_ctx)
     return PipelineOutcome(decision, features, radar_candidates, pruned_visual)

@@ -140,7 +140,7 @@ class RangeDopplerMap:
     per_antenna: np.ndarray
     first_range_bin: int
     full_range_bins: int
-    cube: RadarCube  # the samples, for `detect_target`'s cell readout
+    cube: RadarCube  # the samples, for the cell readout of `detect_target` and `detect_gated`
 
     def __post_init__(self):
         if np.any(self.magnitudes < 0) or not np.all(np.isfinite(self.magnitudes)):

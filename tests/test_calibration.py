@@ -252,7 +252,6 @@ class TestProfilePersistence:
     @pytest.mark.parametrize(
         "field",
         [
-            "system_constant_k",
             "sphere_rcs_m2",
             "sphere_range_m",
             "sphere_snr_linear",

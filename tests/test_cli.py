@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import radmat
+from radmat import docio, fusion
+from radmat.calibration import CalibrationProfile, estimate_noise_power
 from radmat.cli import (
     EXIT_CALIBRATION,
     EXIT_DOMAIN,
@@ -21,11 +23,14 @@ from radmat.cli import (
     build_parser,
     main,
 )
-from radmat.calibration import estimate_noise_power
 from radmat.cube_io import read_cube, write_cube
-from radmat.docio import canonical_bytes, read_document, write_document
+from radmat.dielectric import EmFeatureVector
+from radmat.docio import canonical_bytes, check_keys, read_document, write_document
+from radmat.errors import RadmatError
+from radmat.fusion import RadarContext, VisualContext
 from radmat.pipeline import calibrate_from_cubes
 from radmat.spectral import range_angle, range_doppler
+from radmat.vlm import ProviderConfig
 from conftest import FIXTURE_NOISE_W, child_env, make_plate
 
 try:  # numpy >= 2
@@ -196,7 +201,7 @@ class TestSimulate:
 
 class TestCalibrateCommand:
     def test_sphere_plate_noise_cube_chain(
-        self, tmp_path, config, geometry, fixture_position, frame_factory
+        self, tmp_path, config, geometry, fixture_position, frame_factory, capsys
     ):
         from conftest import make_sphere
 
@@ -220,8 +225,9 @@ class TestCalibrateCommand:
         )
         assert code == EXIT_OK
         doc = read_document(out)
-        assert doc["system_constant_k"] > 0
+        assert "system_constant_k" not in doc
         assert doc["metal_plate_rho"] > 0
+        assert f"metal_plate_rho={doc['metal_plate_rho']:.6g}" in capsys.readouterr().out
         # the command is a thin wrapper over the library's calibrate flow
         library = calibrate_from_cubes(
             read_cube(sphere), read_cube(plate), 0.063,
@@ -437,11 +443,16 @@ class TestFuse:
         assert doc["material"] == "glass"
         assert doc["mode"] == "intersection"
 
-    def test_visual_context_as_fusion_config_rejected(self, tmp_path):
+    def test_target_past_the_distance_ceiling_weighs_as_at_the_ceiling(self, tmp_path):
         vpath, rpath = _write_contexts(tmp_path)
-        argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath),
-                "--fusion-config", str(vpath), "-o", str(tmp_path / "decision.json")]
-        assert main(argv) == EXIT_DOMAIN
+        decisions = []
+        for distance in (6.0, 5.0):
+            write_document(rpath, {**read_document(rpath), "distance_m": distance})
+            out = tmp_path / f"decision_{distance}.json"
+            argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath), "-o", str(out)]
+            assert main(argv) == EXIT_OK
+            decisions.append(out.read_bytes())
+        assert decisions[0] == decisions[1]
 
     @pytest.mark.parametrize("stray", [{"kind": "fusion_decision"}, {"snr_floor": 1e-6}])
     def test_radar_context_of_another_kind_or_with_stray_key_rejected(self, tmp_path, stray):
@@ -492,7 +503,6 @@ class TestNonUtf8Documents:
             "radar": str(rpath),
             "features": str(tmp_path / "features.json"),
             "store": str(tmp_path / "store.json"),
-            "fusion": str(tmp_path / "fusion.json"),
             "fixture": str(tmp_path / "fixtures.json"),
             "provider": str(tmp_path / "provider.json"),
             "out": str(tmp_path / "out.json"),
@@ -500,7 +510,6 @@ class TestNonUtf8Documents:
         write_document(paths["features"], FEATURES)
         store = Path(radmat.__file__).parent / "data" / "default_store.json"
         write_document(paths["store"], read_document(store))
-        write_document(paths["fusion"], {"gamma2": 0.5})
         write_document(paths["fixture"], read_document(VLM_FIXTURES))
         write_document(paths["provider"], {"mode": "mock", "fixture_path": paths["fixture"]})
         return paths
@@ -513,12 +522,10 @@ class TestNonUtf8Documents:
             ("store", ["identify", "{features}", "--store", "{store}", "-o", "{out}"]),
             ("visual", ["fuse", "--visual", "{visual}", "--radar", "{radar}", "-o", "{out}"]),
             ("radar", ["fuse", "--visual", "{visual}", "--radar", "{radar}", "-o", "{out}"]),
-            ("fusion", ["fuse", "--visual", "{visual}", "--radar", "{radar}",
-                        "--fusion-config", "{fusion}", "-o", "{out}"]),
             *(
                 (name, ["pipeline", "--scene", "{scene}", "--profile", "{profile}",
                         "--provider", "{provider}", "--image", "a5_cup", "--gate", "0.1", "0.6",
-                        "--fusion-config", "{fusion}", "-o", "{out}"])
+                        "-o", "{out}"])
                 for name in ("profile", "provider", "fixture")
             ),
         ],
@@ -572,18 +579,29 @@ class TestPipeline:
     def test_d6_visual_dominance_corrects_radar(
         self, tmp_path, config, fixture_position, profile_path, provider_path
     ):
-        # metal-like reflection from a smooth wooden box; a distance-heavy
-        # uncertainty config shifts trust to the visual branch: gamma2 is
-        # scaled so that the 5 m distance ceiling weighs as 0.4 m would
+        # metal-like reflection from a smooth wooden box; at 0.355 m and high
+        # SNR the radar branch is sure and wins, but a radar context made
+        # uncertain by its own SNR, distance and angle yields to vision
         scene = _write_scene(tmp_path, config, fixture_position, 27.8)
-        fusion_cfg = tmp_path / "fusion.json"
-        write_document(fusion_cfg, {"gamma2": 3.0 * (5.0 / 0.4) ** 2})
-        code, out = self._run(
-            tmp_path, config, profile_path, provider_path, scene, "d6_box",
-            extra=["--fusion-config", str(fusion_cfg)],
-        )
+        code, out = self._run(tmp_path, config, profile_path, provider_path, scene, "d6_box")
         assert code == EXIT_OK
-        doc = read_document(out)
+        pipeline_doc = read_document(out)
+        assert pipeline_doc["s_vis"] < pipeline_doc["s_rad"]
+        inputs = pipeline_doc["inputs"]
+        visual, radar = tmp_path / "visual.json", tmp_path / "radar.json"
+        write_document(visual, inputs["visual_context"])
+        write_document(radar, {
+            "snr_linear": 1.0,
+            "distance_m": 4.0,
+            "max_distance_m": 5.0,
+            "incidence_angle_rad": math.pi / 4.0,
+            "measured_epsilon": inputs["radar_candidates"]["measured_epsilon"],
+            "candidates": inputs["radar_candidates"]["candidates"],
+        })
+        fused = tmp_path / "fused.json"
+        argv = ["fuse", "--visual", str(visual), "--radar", str(radar), "-o", str(fused)]
+        assert main(argv) == EXIT_OK
+        doc = read_document(fused)
         assert doc["material"] == "wood"
         assert doc["mode"] == "conflict"
         assert doc["s_vis"] > doc["s_rad"]
@@ -741,10 +759,10 @@ class TestSurface:
         },
         "extract": {"-h", "--help", "--profile", "--gate", "--output", "-o", "--debug"},
         "identify": {"-h", "--help", "--store", "--output", "-o"},
-        "fuse": {"-h", "--help", "--visual", "--radar", "--fusion-config", "--output", "-o"},
+        "fuse": {"-h", "--help", "--visual", "--radar", "--output", "-o"},
         "pipeline": {
             "-h", "--help", "--cube", "--scene", "--profile", "--store", "--provider",
-            "--image", "--gate", "--fusion-config", "--output", "-o", "--debug",
+            "--image", "--gate", "--output", "-o", "--debug",
         },
     }
 
@@ -772,6 +790,11 @@ class TestSurface:
             ["identify", "f.json", "-o", "c.json", "--top-k", "5"],
             ["pipeline", "--cube", "x.rcub", "--profile", "p.json", "--provider", "v.json",
              "--image", "cup", "--gate", "0.1", "0.6", "-o", "d.json", "--max-distance", "0.4"],
+            ["fuse", "--visual", "v.json", "--radar", "r.json", "-o", "d.json",
+             "--fusion-config", "f.json"],
+            ["pipeline", "--cube", "x.rcub", "--profile", "p.json", "--provider", "v.json",
+             "--image", "cup", "--gate", "0.1", "0.6", "-o", "d.json",
+             "--fusion-config", "f.json"],
         ],
         ids=lambda argv: f"{argv[0]}-{argv[-2]}",
     )
@@ -780,3 +803,42 @@ class TestSurface:
             main(argv)
         assert exit_info.value.code == 2 != EXIT_IO  # a usage error, not a file error
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    # the keys each user-supplied document may carry, retired keys included
+    DOCUMENT_KEYS = {
+        "calibration_profile": {
+            "kind", "version", "sphere_rcs_m2", "sphere_range_m", "sphere_snr_linear",
+            "phase_phasors_re_im", "noise_power_w", "metal_plate_rho", "system_constant_k",
+        },
+        "radar_context": {
+            "kind", "snr_linear", "distance_m", "max_distance_m", "incidence_angle_rad",
+            "measured_epsilon", "candidates",
+        },
+        "visual_context": {"kind", "luminance", "complexity", "vlm_entropy", "candidates"},
+        "em_feature_vector": {
+            "kind", "range_m", "velocity_m_s", "angle_rad", "snr_db", "rcs_m2",
+            "power_reflection", "fresnel_coefficient", "dielectric_constant", "prca_area_m2",
+        },
+        "provider_config": {
+            "kind", "mode", "endpoint_url", "auth_token_env_name", "timeout_ms", "fixture_path",
+            "max_in_flight",
+        },
+    }
+
+    def test_document_key_census(self, monkeypatch):
+        # every reader checks its keys through `check_keys`; record what each allows
+        accepted = {}
+
+        def recording_check_keys(doc, kind, keys):
+            accepted[kind] = {"kind", *keys}
+            return check_keys(doc, kind, keys)
+
+        monkeypatch.setattr(docio, "check_keys", recording_check_keys)
+        monkeypatch.setattr(fusion, "check_keys", recording_check_keys)
+        readers = (
+            CalibrationProfile, RadarContext, VisualContext, EmFeatureVector, ProviderConfig,
+        )
+        for reader in readers:
+            with pytest.raises(RadmatError):
+                reader.from_document({})
+        assert accepted == self.DOCUMENT_KEYS

@@ -6,9 +6,9 @@ import pytest
 from radmat.calibration import CalibrationProfile
 from radmat.docio import canonical_bytes, malformed, read_document
 from radmat.errors import CalibrationError, DocumentError, DomainError, ProviderError, SceneError
-from radmat.fusion import FusionConfig, VisualContext
+from radmat.fusion import RadarContext, VisualContext
 from radmat.synthesis import SynthesisResult
-from radmat.vlm import ProviderConfig
+from radmat.vlm import ProviderConfig, VisualQuery
 
 PROFILE_BYTES = b"""\
 {
@@ -32,7 +32,6 @@ PROFILE_BYTES = b"""\
   "sphere_range_m": 0.355,
   "sphere_rcs_m2": 0.003,
   "sphere_snr_linear": 12500.0,
-  "system_constant_k": 25000000.0,
   "version": 1
 }
 """
@@ -71,7 +70,6 @@ SYNTHESIS_BYTES = b"""\
 
 def _profile(metal_plate_rho=0.75):
     return CalibrationProfile(
-        system_constant_k=2.5e7,
         sphere_rcs_m2=0.003,
         sphere_range_m=0.355,
         sphere_snr_linear=12500.0,
@@ -103,16 +101,17 @@ class TestPinnedBytes:
 
 
 class TestDefaultsAndNulls:
-    def test_partial_fusion_config_gets_defaults(self):
-        config = FusionConfig.from_document({"kind": "fusion_config", "gamma2": 0.5})
-        assert config == FusionConfig(gamma2=0.5)
-
     def test_null_metal_plate_rho_loads_incomplete_profile(self):
         doc = _profile().to_document()
         doc["metal_plate_rho"] = None
         profile = CalibrationProfile.from_document(doc)
         assert profile.metal_plate_rho is None
         assert not profile.is_complete
+
+    def test_retired_system_constant_k_is_read_and_ignored(self):
+        # profiles written before the key was retired carry it; they load unchanged
+        doc = {**_profile().to_document(), "system_constant_k": 2.5e7}
+        assert canonical_bytes(CalibrationProfile.from_document(doc).to_document()) == PROFILE_BYTES
 
     def test_missing_required_key_raises_callers_error(self):
         doc = _profile().to_document()
@@ -145,17 +144,18 @@ class TestProviderConfigDocument:
 
 class TestWrongDocuments:
     def test_misspelt_key_rejected(self):
-        with pytest.raises(DomainError, match="lamda1"):
-            FusionConfig.from_document({"kind": "fusion_config", "lamda1": 0.5})
+        visual = VisualContext(0.5, 0.5, 0.5, (("wood", 1.0),)).to_document()
+        with pytest.raises(DomainError, match="lumninance"):
+            VisualContext.from_document({**visual, "lumninance": 0.5})
 
     def test_wrong_kind_rejected(self):
         visual = VisualContext(0.5, 0.5, 0.5, (("wood", 1.0),)).to_document()
         with pytest.raises(DomainError, match="visual_context"):
-            FusionConfig.from_document(visual)
+            RadarContext.from_document(visual)
 
     def test_wrong_kind_raises_callers_error(self):
         with pytest.raises(CalibrationError, match="kind"):
-            CalibrationProfile.from_document({**_profile().to_document(), "kind": "fusion_config"})
+            CalibrationProfile.from_document({**_profile().to_document(), "kind": "visual_context"})
 
     def test_unknown_provider_key_rejected(self):
         with pytest.raises(DocumentError, match="max_in_fligth"):
@@ -171,7 +171,7 @@ class TestMalformed:
             (lambda: {}["seed"], "scene: missing key 'seed'"),
             (lambda: int("x"), "scene: invalid literal"),
             (lambda: float(None), "scene: float.. argument must be"),
-            (lambda: FusionConfig(snr_floor=0.0), "scene: snr_floor must be positive"),
+            (lambda: VisualQuery(""), "scene: image_ref must not be empty"),
             (lambda: b"\xff".decode("utf-8"), "scene: 'utf-8' codec"),
         ],
         ids=["key", "value", "type", "domain", "unicode"],

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from radmat import (
     DomainError,
-    FusionConfig,
     RadarContext,
     VisualContext,
     decide,
@@ -41,31 +40,33 @@ def _radar(candidates, snr=1e6, d=0.3, dmax=5.0, theta=0.0, eps=5.0):
 class TestUncertainties:
     def test_ideal_vision_zero(self):
         ctx = _visual([("glass", 1.0)], lum=1.0, cplx=0.0)
-        assert visual_uncertainty(ctx, FusionConfig(1, 1, 1)) == 0.0
+        assert visual_uncertainty(ctx) == 0.0
 
-    def test_unit_coefficients_worst_case(self):
+    def test_worst_case_vision_is_one(self):
         ctx = _visual([("glass", 0.5), ("plastic", 0.5)], lum=0.0, cplx=1.0, entropy=1.0)
-        assert visual_uncertainty(ctx, FusionConfig(1, 1, 1)) == pytest.approx(3.0)
+        assert visual_uncertainty(ctx) == pytest.approx(1.0, rel=1e-12)
 
     def test_thirds_at_half_inputs(self):
         ctx = _visual([("glass", 0.5), ("plastic", 0.5)], lum=0.5, cplx=0.5, entropy=0.5)
-        cfg = FusionConfig(1 / 3, 1 / 3, 1 / 3)
-        assert visual_uncertainty(ctx, cfg) == pytest.approx(0.5, rel=1e-12)
+        assert visual_uncertainty(ctx) == pytest.approx(0.5, rel=1e-12)
 
     def test_ideal_radar_near_zero(self):
         ctx = _radar([("metal", 1.0)], snr=1e12, d=1e-9, theta=0.0)
-        assert radar_uncertainty(ctx, FusionConfig()) == pytest.approx(0.0, abs=1e-9)
+        assert radar_uncertainty(ctx) == pytest.approx(0.0, abs=1e-9)
 
-    def test_unit_coefficients_direct_sum(self):
+    def test_thirds_of_the_direct_sum(self):
         ctx = _radar([("metal", 1.0)], snr=1.0, d=5.0, dmax=5.0, theta=math.radians(60.0))
-        cfg = FusionConfig(gamma1=1, gamma2=1, gamma3=1)
-        assert radar_uncertainty(ctx, cfg) == pytest.approx(2.5, rel=1e-12)
+        assert radar_uncertainty(ctx) == pytest.approx(2.5 / 3.0, rel=1e-12)
 
     def test_monotone_in_incidence_angle(self):
-        cfg = FusionConfig()
-        a = radar_uncertainty(_radar([("metal", 1.0)], theta=0.0), cfg)
-        b = radar_uncertainty(_radar([("metal", 1.0)], theta=math.radians(45.0)), cfg)
+        a = radar_uncertainty(_radar([("metal", 1.0)], theta=0.0))
+        b = radar_uncertainty(_radar([("metal", 1.0)], theta=math.radians(45.0)))
         assert b > a
+
+    def test_distance_term_saturates_at_the_ceiling(self):
+        at_ceiling = radar_uncertainty(_radar([("metal", 1.0)], d=5.0, dmax=5.0))
+        assert radar_uncertainty(_radar([("metal", 1.0)], d=6.0, dmax=5.0)) == at_ceiling
+        assert radar_uncertainty(_radar([("metal", 1.0)], d=4.0, dmax=5.0)) < at_ceiling
 
 
 class TestGate:
@@ -165,17 +166,12 @@ class TestDecideConflict:
         share = decision.s_vis / (decision.s_vis + decision.s_rad)
         assert share == pytest.approx(0.88, abs=1e-9)
 
-    def test_tie_resolves_toward_radar_by_default(self):
+    def test_tie_resolves_toward_radar(self):
         visual = _visual([("wood", 0.5), ("plastic", 0.5)], lum=1.0, cplx=0.0, entropy=0.0)
         radar = _radar([("metal", 0.5), ("ceramic", 0.5)], snr=1e12, d=1e-9, theta=0.0)
         decision = decide(visual, radar)
         assert decision.material == "metal"
-
-    def test_tie_break_configurable(self):
-        visual = _visual([("wood", 0.5), ("plastic", 0.5)], lum=1.0, cplx=0.0, entropy=0.0)
-        radar = _radar([("metal", 0.5), ("ceramic", 0.5)], snr=1e12, d=1e-9, theta=0.0)
-        decision = decide(visual, radar, FusionConfig(conflict_tie_break="visual"))
-        assert decision.material == "wood"
+        assert "conflict tie S_vis~=S_rad -> radar branch" in decision.trace
 
     def test_deterministic_decision_and_trace(self):
         visual = _visual([("glass", 0.7), ("plastic", 0.3)])
@@ -225,13 +221,10 @@ class TestContextsValidation:
         with pytest.raises(DomainError, match="distinct"):
             RadarCandidateSet(repeated, 5.0)
 
-    def test_radar_distance_bounds(self):
-        with pytest.raises(DomainError):
-            _radar([("metal", 1.0)], d=6.0, dmax=5.0)
-
-    def test_config_coefficients_non_negative(self):
-        with pytest.raises(DomainError):
-            FusionConfig(lambda1=-0.1)
+    @pytest.mark.parametrize("d, dmax", [(0.0, 5.0), (-1.0, 5.0), (0.3, 0.0), (math.nan, 5.0)])
+    def test_radar_distances_must_be_positive(self, d, dmax):
+        with pytest.raises(DomainError, match="must be positive"):
+            _radar([("metal", 1.0)], d=d, dmax=dmax)
 
     def test_documents_round_trip(self):
         visual = _visual([("glass", 0.6), ("plastic", 0.4)])

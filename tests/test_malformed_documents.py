@@ -94,7 +94,6 @@ def base_documents() -> dict:
         },
         "provider.json": {"mode": "mock", "fixture_path": "fixture.json", "timeout_ms": 1000},
         "fixture.json": {"cup": {"candidates": candidates, "luminance": 0.7, "complexity": 0.3}},
-        "fusion.json": {"kind": "fusion_config", "gamma2": 0.5, "conflict_tie_break": "radar"},
         "features.json": {
             "kind": "em_feature_vector",
             "range_m": 1.42,
@@ -133,7 +132,6 @@ def commands(work: Path) -> list:
             "pipeline", "--scene", str(work / "scene.json"),
             "--profile", str(work / "profile.json"), "--store", str(work / "store.json"),
             "--provider", str(work / "provider.json"), "--image", "cup",
-            "--fusion-config", str(work / "fusion.json"),
             "--gate", *GATE, "-o", str(work / "decision.json"),
         ],
         [
@@ -142,7 +140,7 @@ def commands(work: Path) -> list:
         ],
         [
             "fuse", "--visual", str(work / "visual.json"), "--radar", str(work / "radar.json"),
-            "--fusion-config", str(work / "fusion.json"), "-o", str(work / "fused.json"),
+            "-o", str(work / "fused.json"),
         ],
     ]
 

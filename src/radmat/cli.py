@@ -136,8 +136,6 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if (args.cube is None) == (args.scene is None):
-        raise DomainError("provide exactly one of --cube or --scene")
     cube = cube_io.read_cube(args.cube) if args.cube is not None else _simulate_scene(args.scene)
     profile = _load_profile(args.profile)
     store = _load_store(args.store)
@@ -206,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("pipeline", help="full chain: extract, identify, propose, fuse")
-    p.add_argument("--cube", default=None)
-    p.add_argument("--scene", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cube")
+    source.add_argument("--scene")
     p.add_argument("--profile", required=True)
     p.add_argument("--store", default=None)
     p.add_argument("--provider", required=True, help="provider config document")

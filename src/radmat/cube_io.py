@@ -160,4 +160,6 @@ def load_scene(path):
         if not math.isfinite(noise):
             raise ValueError(f"noise_power_w must be finite, not {noise}")
         seed = int(doc["seed"])
+        if seed < 0 or seed != doc["seed"]:
+            raise ValueError(f"seed must be a non-negative whole number, not {doc['seed']!r}")
     return targets, config, geometry, noise, seed

@@ -67,12 +67,10 @@ def _plain(value, nested=False):
     return float(value) if nested and not isinstance(value, str) else value
 
 
-def to_document(obj, kind: str, omit=(), **extra) -> dict:
+def to_document(obj, kind: str, **extra) -> dict:
     """The document of a dataclass instance: kind, extra keys, one key per field."""
     doc = {"kind": kind, **extra}
     for field in dataclasses.fields(obj):
-        if field.name in omit:
-            continue
         value = getattr(obj, field.name)
         if np.iscomplexobj(value):
             doc[f"{field.name}_re_im"] = _plain(np.stack([np.real(value), np.imag(value)], -1))

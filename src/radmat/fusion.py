@@ -1,7 +1,8 @@
 """Uncertainty-gated fusion of visual and radar candidate sets.
 
-Per-branch uncertainties, each coefficient 1/3 (`LAMBDA*`, `GAMMA*`) and the
-SNR floor 1e-6 (`SNR_FLOOR`):
+Per-branch uncertainties, each coefficient 1/3 (`LAMBDA*`, `GAMMA*`), the
+SNR floor 1e-6 (`SNR_FLOOR`) and the distance ceiling d_max = 5 m
+(`MAX_DISTANCE_M`):
 
     U_vis = l1*(1 - I_lum) + l2*I_cplx + l3*H_vlm
     U_rad = g1/max(SNR, floor) + g2*min(d/d_max, 1)^2 + g3*(1 - cos(theta))
@@ -19,13 +20,17 @@ resolve toward radar (it reads intrinsic properties).
 import math
 from dataclasses import dataclass
 
-from .docio import check_keys, from_document, malformed, to_document
+from .docio import from_document, to_document
 from .errors import DomainError
-from .knowledge import RadarCandidateSet, check_candidates
+from .knowledge import check_candidates
 
 LAMBDA1 = LAMBDA2 = LAMBDA3 = 1.0 / 3.0
 GAMMA1 = GAMMA2 = GAMMA3 = 1.0 / 3.0
 SNR_FLOOR = 1e-6
+# the distance past which the radar's distance uncertainty stops growing
+MAX_DISTANCE_M = 5.0
+# radar-context keys of earlier versions, read and ignored
+_LEGACY_RADAR_KEYS = ("max_distance_m", "measured_epsilon")
 
 
 @dataclass(frozen=True)
@@ -47,16 +52,6 @@ class VisualContext:
         check_candidates(self.candidates, "visual candidate")
         object.__setattr__(self, "candidates", tuple(tuple(c) for c in self.candidates))
 
-    @property
-    def names(self) -> tuple:
-        return tuple(name for name, _ in self.candidates)
-
-    def probability(self, name: str) -> float:
-        for candidate, prob in self.candidates:
-            if candidate == name:
-                return prob
-        return 0.0
-
     def to_document(self) -> dict:
         return to_document(self, "visual_context")
 
@@ -70,40 +65,25 @@ class RadarContext:
     """The radar branch's SNR, geometry and ranked material candidates."""
     snr_linear: float
     distance_m: float
-    max_distance_m: float
     incidence_angle_rad: float
-    candidates: RadarCandidateSet
-
-    # the document's scalar keys; its other two come from `candidates`
-    _SCALARS = ("snr_linear", "distance_m", "max_distance_m", "incidence_angle_rad")
+    candidates: tuple  # ((material, score), ...) descending
 
     def __post_init__(self):
         if self.snr_linear <= 0:
             raise DomainError("SNR must be positive")
-        if not (self.distance_m > 0.0 and self.max_distance_m > 0.0):
-            raise DomainError("distance and max_distance must be positive")
+        if not self.distance_m > 0.0:
+            raise DomainError("distance must be positive")
         if not 0.0 <= self.incidence_angle_rad < math.pi / 2:
             raise DomainError("incidence angle must lie in [0, pi/2)")
+        check_candidates(self.candidates, "radar candidate")
+        object.__setattr__(self, "candidates", tuple(tuple(c) for c in self.candidates))
 
     def to_document(self) -> dict:
-        return {
-            "kind": "radar_context",
-            **{key: getattr(self, key) for key in self._SCALARS},
-            "measured_epsilon": self.candidates.measured_epsilon,
-            "candidates": [[n, float(s)] for n, s in self.candidates.candidates],
-        }
+        return to_document(self, "radar_context")
 
     @classmethod
     def from_document(cls, doc: dict) -> "RadarContext":
-        with malformed(DomainError, "invalid radar context"):
-            check_keys(doc, "radar_context", (*cls._SCALARS, "measured_epsilon", "candidates"))
-            return cls(
-                **{key: float(doc[key]) for key in cls._SCALARS},
-                candidates=RadarCandidateSet(
-                    candidates=tuple((str(n), float(s)) for n, s in doc["candidates"]),
-                    measured_epsilon=float(doc["measured_epsilon"]),
-                ),
-            )
+        return from_document(cls, doc, DomainError, "radar_context", _LEGACY_RADAR_KEYS)
 
 
 @dataclass(frozen=True)
@@ -138,7 +118,7 @@ def visual_uncertainty(ctx: VisualContext) -> float:
 def radar_uncertainty(ctx: RadarContext) -> float:
     return (
         GAMMA1 / max(ctx.snr_linear, SNR_FLOOR)
-        + GAMMA2 * min(ctx.distance_m / ctx.max_distance_m, 1.0) ** 2
+        + GAMMA2 * min(ctx.distance_m / MAX_DISTANCE_M, 1.0) ** 2
         + GAMMA3 * (1.0 - math.cos(ctx.incidence_angle_rad))
     )
 
@@ -166,17 +146,15 @@ def decide(visual: VisualContext, radar: RadarContext) -> FusionDecision:
         f"U_vis={u_vis!r} U_rad={u_rad!r}",
         f"w_vis={w_vis!r} w_rad={w_rad!r}",
         f"visual candidates: {list(visual.candidates)!r}",
-        f"radar candidates: {list(radar.candidates.candidates)!r}",
+        f"radar candidates: {list(radar.candidates)!r}",
     ]
 
-    common = [name for name in visual.names if name in radar.candidates.names]
-    top_vis_name = visual.candidates[0][0]
-    top_rad_name = radar.candidates.top[0]
+    p_vis, p_rad = dict(visual.candidates), dict(radar.candidates)
+    common = [name for name in p_vis if name in p_rad]
+    top_vis_name, top_vis_p = visual.candidates[0]
+    top_rad_name, top_rad_p = radar.candidates[0]
     if common:
-        combined = {
-            name: w_vis * visual.probability(name) + w_rad * radar.candidates.probability(name)
-            for name in common
-        }
+        combined = {name: w_vis * p_vis[name] + w_rad * p_rad[name] for name in common}
         # exact ties prefer a branch-top candidate, then lexicographic order
         material = max(
             common,
@@ -186,16 +164,14 @@ def decide(visual: VisualContext, radar: RadarContext) -> FusionDecision:
                 name,
             ),
         )
-        s_vis = w_vis * visual.probability(material)
-        s_rad = w_rad * radar.candidates.probability(material)
+        s_vis = w_vis * p_vis[material]
+        s_rad = w_rad * p_rad[material]
         lines.append(f"intersection {sorted(common)!r} -> combined={combined!r}")
         lines.append(f"selected '{material}' by weighted agreement")
         mode = "intersection"
     else:
-        p_vis = visual.candidates[0][1]
-        p_rad = radar.candidates.top[1]
-        s_vis = w_vis * p_vis
-        s_rad = w_rad * p_rad
+        s_vis = w_vis * top_vis_p
+        s_rad = w_rad * top_rad_p
         if abs(s_vis - s_rad) < 1e-9:
             material = top_rad_name
             lines.append("conflict tie S_vis~=S_rad -> radar branch")

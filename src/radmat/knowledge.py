@@ -76,18 +76,8 @@ class RadarCandidateSet:
         check_candidates(self.candidates, "radar candidate")
 
     @property
-    def names(self) -> tuple:
-        return tuple(name for name, _ in self.candidates)
-
-    @property
     def top(self) -> tuple:
         return self.candidates[0]
-
-    def probability(self, name: str) -> float:
-        for candidate, score in self.candidates:
-            if candidate == name:
-                return score
-        return 0.0
 
     def to_document(self) -> dict:
         return to_document(self, "radar_candidates")

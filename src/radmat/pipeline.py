@@ -16,9 +16,6 @@ from .signal_model import RadarCube
 from .spectral import RangeAngleMap, RangeDopplerMap, TargetDetection, detect_gated, range_doppler
 from .synthesis import SynthesisResult
 
-# the radar context's distance ceiling, past which its distance uncertainty stops growing
-MAX_DISTANCE_M = 5.0
-
 
 @dataclass(frozen=True)
 class ExtractionResult:
@@ -94,9 +91,8 @@ def run_identification(
     radar_ctx = RadarContext(
         snr_linear=features.snr_linear,
         distance_m=features.range_m,
-        max_distance_m=MAX_DISTANCE_M,
         incidence_angle_rad=abs(features.angle_rad),
-        candidates=radar_candidates,
+        candidates=radar_candidates.candidates,
     )
     decision = decide(pruned_visual, radar_ctx)
     return PipelineOutcome(decision, features, radar_candidates, pruned_visual)

@@ -30,13 +30,12 @@ class SynthesisResult:
     focused_signals: np.ndarray  # complex, per antenna
     coherent_sum: complex
     weights: np.ndarray  # real, per antenna
-    unit_vectors: np.ndarray  # (N, 3)
     weighted_vector: np.ndarray  # (3,)
     coherence_factor: float
     enhanced_snr_linear: float
 
     def to_document(self) -> dict:
-        return to_document(self, "synthesis_result", omit=("unit_vectors",))
+        return to_document(self, "synthesis_result")
 
 
 def focus(
@@ -96,7 +95,6 @@ def synthesize(
         focused_signals=signals,
         coherent_sum=complex(total),
         weights=weights,
-        unit_vectors=units,
         weighted_vector=weighted_vector,
         coherence_factor=coherence,
         enhanced_snr_linear=snr,

@@ -25,7 +25,6 @@ from radmat import (
     shoelace_area,
     synthesize_frame,
 )
-from radmat.knowledge import RadarCandidateSet
 from radmat.pipeline import extract_from_cube
 from radmat.spectral import detect_target, range_angle, range_doppler
 from conftest import GATE_M, METAL_EPSILON, make_plate
@@ -190,7 +189,7 @@ def test_criterion_7_fusion_fixtures():
     """Intersection and conflict cases land on the expected branches."""
     # agreement: both sets contain glass
     visual = VisualContext(0.8, 0.2, 0.971, (("glass", 0.6), ("plastic", 0.4)))
-    radar = RadarContext(1e6, 0.3, 5.0, 0.0, RadarCandidateSet((("glass", 0.8), ("wood", 0.2)), 9.0))
+    radar = RadarContext(1e6, 0.3, 0.0, (("glass", 0.8), ("wood", 0.2)))
     agreement = decide(visual, radar)
     assert agreement.material == "glass" and agreement.mode == "intersection"
 
@@ -198,10 +197,7 @@ def test_criterion_7_fusion_fixtures():
     candidates = (("mirror glass", 0.6), ("ceramic", 0.4))
     entropy = -sum(p * math.log(p) for _, p in candidates) / math.log(2.0)
     vis_conflict = VisualContext(0.3, 3.0 * math.log(2.0) - 0.7 - entropy, entropy, candidates)
-    rad_strong = RadarContext(
-        1e12, 1e-9, 1.0, 0.0,
-        RadarCandidateSet((("plastic", 0.9), ("wood", 0.07), ("paper", 0.03)), 2.9),
-    )
+    rad_strong = RadarContext(1e12, 5e-9, 0.0, (("plastic", 0.9), ("wood", 0.07), ("paper", 0.03)))
     radar_wins = decide(vis_conflict, rad_strong)
     assert radar_wins.mode == "conflict" and radar_wins.material == "plastic"
     share_rad = radar_wins.s_rad / (radar_wins.s_vis + radar_wins.s_rad)
@@ -215,10 +211,8 @@ def test_criterion_7_fusion_fixtures():
     u_rad = u_vis + math.log(22.0 / 3.0)
     theta = math.pi / 4.0
     inv_snr = 3.0 * u_rad - 0.8**2 - (1.0 - math.cos(theta))
-    rad_weak = RadarContext(
-        1.0 / inv_snr, 0.8, 1.0, theta,
-        RadarCandidateSet((("metal", 0.88), ("mirror glass", 0.12)), 27.0),
-    )
+    # 4 m over the 5 m distance ceiling gives the 0.8**2 above
+    rad_weak = RadarContext(1.0 / inv_snr, 4.0, theta, (("metal", 0.88), ("mirror glass", 0.12)))
     vision_wins = decide(vis_sure, rad_weak)
     assert vision_wins.mode == "conflict" and vision_wins.material == "wood"
     share_vis = vision_wins.s_vis / (vision_wins.s_vis + vision_wins.s_rad)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import radmat
-from radmat import docio, fusion
+from radmat import docio
 from radmat.calibration import CalibrationProfile, estimate_noise_power
 from radmat.cli import (
     EXIT_CALIBRATION,
@@ -160,6 +160,19 @@ class TestSimulate:
         scene = _write_scene(tmp_path, config, fixture_position, 4.0, noise_power_w=-1e-3)
         assert main(["simulate", scene, "-o", str(tmp_path / "x.rcub")]) == EXIT_DOMAIN
         assert "noise power must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 1.7])
+    def test_negative_or_fractional_seed_exits_format(
+        self, tmp_path, config, fixture_position, capsys, seed
+    ):
+        # the scene has noise to draw: a negative seed would reach numpy's
+        # generator, and a fraction would be truncated
+        scene = _write_scene(tmp_path, config, fixture_position, 4.0, seed=seed)
+        out = tmp_path / "x.rcub"
+        assert main(["simulate", scene, "-o", str(out)]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("format: scene: seed must be a non-negative whole number")
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [("scene", "seed"), ("chirp", "samples_per_chirp")])
     def test_infinite_count_exits_format(
@@ -422,9 +435,7 @@ def _write_contexts(tmp_path):
     radar = {
         "snr_linear": 1e6,
         "distance_m": 0.3,
-        "max_distance_m": 5.0,
         "incidence_angle_rad": 0.0,
-        "measured_epsilon": 9.0,
         "candidates": [["glass", 0.8], ["ceramic", 0.2]],
     }
     vpath, rpath = tmp_path / "vis.json", tmp_path / "rad.json"
@@ -453,6 +464,24 @@ class TestFuse:
             assert main(argv) == EXIT_OK
             decisions.append(out.read_bytes())
         assert decisions[0] == decisions[1]
+
+    def test_retired_radar_keys_are_read_and_ignored(self, tmp_path):
+        # the 5 m document is what earlier versions wrote; its ceiling is now
+        # fusion.MAX_DISTANCE_M whatever the document says
+        vpath, rpath = _write_contexts(tmp_path)
+        current = read_document(rpath)
+        decisions = []
+        for retired in (
+            {"max_distance_m": 5.0, "measured_epsilon": 9.0},
+            {"max_distance_m": 1.0, "measured_epsilon": 9.0},
+            {},
+        ):
+            write_document(rpath, {**current, **retired})
+            out = tmp_path / f"decision_{len(decisions)}.json"
+            argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath), "-o", str(out)]
+            assert main(argv) == EXIT_OK
+            decisions.append(out.read_bytes())
+        assert decisions[1] == decisions[0] and decisions[2] == decisions[0]
 
     @pytest.mark.parametrize("stray", [{"kind": "fusion_decision"}, {"snr_floor": 1e-6}])
     def test_radar_context_of_another_kind_or_with_stray_key_rejected(self, tmp_path, stray):
@@ -593,9 +622,7 @@ class TestPipeline:
         write_document(radar, {
             "snr_linear": 1.0,
             "distance_m": 4.0,
-            "max_distance_m": 5.0,
             "incidence_angle_rad": math.pi / 4.0,
-            "measured_epsilon": inputs["radar_candidates"]["measured_epsilon"],
             "candidates": inputs["radar_candidates"]["candidates"],
         })
         fused = tmp_path / "fused.json"
@@ -725,18 +752,24 @@ class TestPipeline:
         assert code == EXIT_IO == 9  # not argparse's usage status 2
         assert "io:" in capsys.readouterr().err
 
-    def test_cube_and_scene_mutually_exclusive(self, tmp_path, profile_path, provider_path):
-        code = main(
-            [
-                "pipeline",
-                "--profile", profile_path,
-                "--provider", provider_path,
-                "--image", "a5_cup",
-                "--gate", "0.1", "0.6",
-                "-o", str(tmp_path / "d.json"),
-            ]
-        )
-        assert code != EXIT_OK
+    def _source_usage_error(self, tmp_path, profile_path, provider_path, source, capsys):
+        argv = ["pipeline", *source, "--profile", profile_path, "--provider", provider_path,
+                "--image", "a5_cup", "--gate", "0.1", "0.6", "-o", str(tmp_path / "d.json")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2  # a usage error, before any file is read
+        err = capsys.readouterr().err
+        assert "--cube" in err and "--scene" in err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_cube_and_scene_mutually_exclusive(self, tmp_path, profile_path, provider_path, capsys):
+        self._source_usage_error(tmp_path, profile_path, provider_path, [], capsys)
+
+    def test_cube_and_scene_together_are_a_usage_error(
+        self, tmp_path, profile_path, provider_path, capsys
+    ):
+        source = ["--cube", str(tmp_path / "x.rcub"), "--scene", str(tmp_path / "s.json")]
+        self._source_usage_error(tmp_path, profile_path, provider_path, source, capsys)
 
 
 class TestHelp:
@@ -834,7 +867,6 @@ class TestSurface:
             return check_keys(doc, kind, keys)
 
         monkeypatch.setattr(docio, "check_keys", recording_check_keys)
-        monkeypatch.setattr(fusion, "check_keys", recording_check_keys)
         readers = (
             CalibrationProfile, RadarContext, VisualContext, EmFeatureVector, ProviderConfig,
         )

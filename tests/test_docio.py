@@ -92,7 +92,6 @@ class TestPinnedBytes:
             focused_signals=np.array([1.0 + 2.0j, 0.5 - 0.25j]),
             coherent_sum=1.5 + 1.75j,
             weights=np.array([2.0, 0.25]),
-            unit_vectors=np.array([[0.6, 0.0, -0.8], [-0.6, 0.0, -0.8]]),
             weighted_vector=np.array([1.05, 0.0, -1.8]),
             coherence_factor=0.875,
             enhanced_snr_linear=40.5,

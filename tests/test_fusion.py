@@ -13,6 +13,7 @@ from radmat import (
     radar_uncertainty,
     visual_uncertainty,
 )
+from radmat.fusion import MAX_DISTANCE_M
 from radmat.knowledge import RadarCandidateSet
 
 
@@ -27,13 +28,9 @@ def _visual(candidates, lum=0.8, cplx=0.2, entropy=None):
     return VisualContext(lum, cplx, entropy, tuple(candidates))
 
 
-def _radar(candidates, snr=1e6, d=0.3, dmax=5.0, theta=0.0, eps=5.0):
+def _radar(candidates, snr=1e6, d=0.3, theta=0.0):
     return RadarContext(
-        snr_linear=snr,
-        distance_m=d,
-        max_distance_m=dmax,
-        incidence_angle_rad=theta,
-        candidates=RadarCandidateSet(tuple(candidates), eps),
+        snr_linear=snr, distance_m=d, incidence_angle_rad=theta, candidates=tuple(candidates)
     )
 
 
@@ -55,7 +52,7 @@ class TestUncertainties:
         assert radar_uncertainty(ctx) == pytest.approx(0.0, abs=1e-9)
 
     def test_thirds_of_the_direct_sum(self):
-        ctx = _radar([("metal", 1.0)], snr=1.0, d=5.0, dmax=5.0, theta=math.radians(60.0))
+        ctx = _radar([("metal", 1.0)], snr=1.0, d=5.0, theta=math.radians(60.0))
         assert radar_uncertainty(ctx) == pytest.approx(2.5 / 3.0, rel=1e-12)
 
     def test_monotone_in_incidence_angle(self):
@@ -64,9 +61,10 @@ class TestUncertainties:
         assert b > a
 
     def test_distance_term_saturates_at_the_ceiling(self):
-        at_ceiling = radar_uncertainty(_radar([("metal", 1.0)], d=5.0, dmax=5.0))
-        assert radar_uncertainty(_radar([("metal", 1.0)], d=6.0, dmax=5.0)) == at_ceiling
-        assert radar_uncertainty(_radar([("metal", 1.0)], d=4.0, dmax=5.0)) < at_ceiling
+        assert MAX_DISTANCE_M == 5.0
+        at_ceiling = radar_uncertainty(_radar([("metal", 1.0)], d=5.0))
+        assert radar_uncertainty(_radar([("metal", 1.0)], d=6.0)) == at_ceiling
+        assert radar_uncertainty(_radar([("metal", 1.0)], d=4.0)) < at_ceiling
 
 
 class TestGate:
@@ -132,8 +130,7 @@ class TestDecideConflict:
         radar = _radar(
             [("plastic", 0.9), ("wood", 0.07), ("paper", 0.03)],
             snr=1e12,
-            d=1e-9,
-            dmax=1.0,
+            d=5e-9,
             theta=0.0,
         )
         decision = decide(visual, radar)
@@ -156,8 +153,7 @@ class TestDecideConflict:
         radar = _radar(
             [("metal", 0.88), ("mirror glass", 0.12)],
             snr=1.0 / inv_snr,
-            d=0.8,
-            dmax=1.0,
+            d=4.0,  # d / MAX_DISTANCE_M = 0.8
             theta=theta,
         )
         decision = decide(visual, radar)
@@ -220,19 +216,24 @@ class TestContextsValidation:
             VisualContext(0.5, 0.5, 0.5, repeated)
         with pytest.raises(DomainError, match="distinct"):
             RadarCandidateSet(repeated, 5.0)
+        with pytest.raises(DomainError, match="distinct"):
+            _radar(repeated)
 
-    @pytest.mark.parametrize("d, dmax", [(0.0, 5.0), (-1.0, 5.0), (0.3, 0.0), (math.nan, 5.0)])
-    def test_radar_distances_must_be_positive(self, d, dmax):
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
+    def test_radar_distances_must_be_positive(self, d):
         with pytest.raises(DomainError, match="must be positive"):
-            _radar([("metal", 1.0)], d=d, dmax=dmax)
+            _radar([("metal", 1.0)], d=d)
 
     def test_documents_round_trip(self):
         visual = _visual([("glass", 0.6), ("plastic", 0.4)])
         radar = _radar([("glass", 0.7), ("wood", 0.3)])
         assert VisualContext.from_document(visual.to_document()) == visual
-        again = RadarContext.from_document(radar.to_document())
-        assert again.candidates.candidates == radar.candidates.candidates
-        assert again.snr_linear == radar.snr_linear
+        assert RadarContext.from_document(radar.to_document()) == radar
+
+    def test_retired_radar_keys_are_read_and_ignored(self):
+        radar = _radar([("glass", 0.7), ("wood", 0.3)])
+        retired = {"max_distance_m": 1.0, "measured_epsilon": 9.0}
+        assert RadarContext.from_document({**radar.to_document(), **retired}) == radar
 
     @pytest.mark.parametrize(
         "stray, message",

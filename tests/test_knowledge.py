@@ -64,7 +64,7 @@ class TestMatch:
         result = match(5.0, MaterialStore(records))
         scores = dict(result.candidates)
         assert scores["twin a"] == pytest.approx(scores["twin b"], rel=1e-12)
-        assert {"twin a", "twin b"} <= set(result.names)
+        assert {"twin a", "twin b"} <= set(scores)
 
     def test_scores_sum_to_one(self, store):
         result = match(7.3, store)

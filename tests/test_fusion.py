@@ -230,11 +230,6 @@ class TestContextsValidation:
         assert VisualContext.from_document(visual.to_document()) == visual
         assert RadarContext.from_document(radar.to_document()) == radar
 
-    def test_retired_radar_keys_are_read_and_ignored(self):
-        radar = _radar([("glass", 0.7), ("wood", 0.3)])
-        retired = {"max_distance_m": 1.0, "measured_epsilon": 9.0}
-        assert RadarContext.from_document({**radar.to_document(), **retired}) == radar
-
     @pytest.mark.parametrize(
         "stray, message",
         [({"kind": "fusion_decision"}, "kind"), ({"snr_floor": 1e-6}, "snr_floor")],

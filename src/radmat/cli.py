@@ -36,7 +36,7 @@ from .errors import (
     SceneError,
 )
 from .fusion import RadarContext, VisualContext, decide
-from .spectral import range_angle, range_doppler
+from .spectral import range_angle_at_doppler, range_doppler
 
 EXIT_OK = 0
 EXIT_SCENE = 3
@@ -106,8 +106,10 @@ def cmd_extract(args) -> int:
     docio.write_document(args.output, result.features.to_document())
     if args.debug:
         base = os.path.splitext(args.output)[0]
-        docio.write_document(f"{base}.rd_map.json", range_doppler(cube).to_document())
-        docio.write_document(f"{base}.ra_map.json", range_angle(cube).to_document())
+        full_rd = range_doppler(cube)
+        full_ra = range_angle_at_doppler(full_rd, result.detection.doppler_bin)
+        docio.write_document(f"{base}.rd_map.json", full_rd.to_document())
+        docio.write_document(f"{base}.ra_map.json", full_ra.to_document())
         docio.write_document(f"{base}.synthesis.json", result.synthesis.to_document())
         docio.write_document(f"{base}.prca.json", result.region.to_document())
     print(

@@ -24,13 +24,14 @@ centered ULA on load.  Every malformed file, header or payload, raises
 FormatError; every malformed scene document, DocumentError.
 """
 
+import dataclasses
 import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .docio import malformed, read_document
+from .docio import check_keys, malformed, read_document
 from .errors import DocumentError, DomainError, FormatError
 from .signal_model import ArrayGeometry, ChirpConfig, RadarCube, SceneTarget, default_geometry
 
@@ -113,19 +114,16 @@ def read_cube(path) -> RadarCube:
 
 
 def chirp_config_from_document(doc: dict) -> ChirpConfig:
+    """Every `ChirpConfig` field is required, cast by its annotation."""
+    fields = dataclasses.fields(ChirpConfig)
     with malformed(DocumentError, "chirp"):
-        return ChirpConfig(
-            carrier_frequency_hz=float(doc["carrier_frequency_hz"]),
-            bandwidth_hz=float(doc["bandwidth_hz"]),
-            slope_hz_per_s=float(doc["slope_hz_per_s"]),
-            sample_rate_hz=float(doc["sample_rate_hz"]),
-            samples_per_chirp=int(doc["samples_per_chirp"]),
-            chirps_per_frame=int(doc["chirps_per_frame"]),
-        )
+        check_keys(doc, "chirp", [field.name for field in fields])
+        return ChirpConfig(**{field.name: field.type(doc[field.name]) for field in fields})
 
 
 def geometry_from_document(doc: dict, config: ChirpConfig) -> ArrayGeometry:
     with malformed(DocumentError, "array"):
+        check_keys(doc, "array", ("positions_m", "element_count", "spacing_m"))
         if "positions_m" in doc:
             return ArrayGeometry(np.asarray(doc["positions_m"], dtype=float))
         count = int(doc["element_count"])
@@ -135,6 +133,7 @@ def geometry_from_document(doc: dict, config: ChirpConfig) -> ArrayGeometry:
 
 
 def _target_from_entry(entry: dict) -> SceneTarget:
+    check_keys(entry, "target", ("position_m", "dielectric_constant", *_OPTIONAL_TARGET_KEYS))
     optional = {k: cast(entry[k]) for k, cast in _OPTIONAL_TARGET_KEYS.items() if k in entry}
     return SceneTarget(
         position_m=np.asarray(entry["position_m"], float),
@@ -150,6 +149,7 @@ def load_scene(path):
     """
     doc = read_document(path)
     with malformed(DocumentError, "scene"):
+        check_keys(doc, "scene", ("chirp", "array", "targets", "noise_power_w", "seed"))
         config = chirp_config_from_document(doc["chirp"])
         geometry = geometry_from_document(doc["array"], config)
         targets = []
@@ -157,8 +157,8 @@ def load_scene(path):
             with malformed(DocumentError, f"target {i}"):
                 targets.append(_target_from_entry(entry))
         noise = float(doc.get("noise_power_w", 0.0))
-        if not math.isfinite(noise):
-            raise ValueError(f"noise_power_w must be finite, not {noise}")
+        if not (math.isfinite(noise) and noise >= 0.0):
+            raise ValueError(f"noise_power_w must be finite and >= 0, not {noise}")
         seed = int(doc["seed"])
         if seed < 0 or seed != doc["seed"]:
             raise ValueError(f"seed must be a non-negative whole number, not {doc['seed']!r}")

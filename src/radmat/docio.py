@@ -93,8 +93,11 @@ def _coerce(hint, value):
 
 
 def check_keys(doc: dict, kind: str, keys) -> None:
-    """Raise ValueError for a ``kind`` other than ``kind``, when the
-    document has one, or for a key that is neither ``kind`` nor in ``keys``."""
+    """Raise TypeError for a ``doc`` that is not an object, and ValueError
+    for a ``kind`` other than ``kind``, when the document has one, or for a
+    key that is neither ``kind`` nor in ``keys``."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{kind} must be an object, not {type(doc).__name__}")
     if doc.get("kind", kind) != kind:
         raise ValueError(f"kind {doc['kind']!r} is not {kind!r}")
     unknown = set(doc) - {"kind", *keys}

@@ -13,7 +13,10 @@ from .fusion import FusionDecision, RadarContext, VisualContext, decide
 from .knowledge import MaterialStore, RadarCandidateSet, match, prune_visual
 from .prca import PrcaRegion
 from .signal_model import RadarCube
-from .spectral import RangeAngleMap, RangeDopplerMap, TargetDetection, detect_gated, range_doppler
+from .spectral import (
+    RangeAngleMap, RangeDopplerMap, TargetDetection, detect_target, gate_peak,
+    range_angle_at_doppler, range_doppler,
+)
 from .synthesis import SynthesisResult
 
 
@@ -30,11 +33,11 @@ def detect(cube: RadarCube, gate_m) -> tuple[RangeDopplerMap, RangeAngleMap, Tar
     """Gated range-Doppler map, range-angle map and strongest gated target of one frame.
 
     Both maps hold the gate's range rows and a margin for the PRCA region;
-    the range-angle map is those rows beamformed at the detected Doppler bin.
+    the range-angle map is those rows beamformed at the gate peak's Doppler bin.
     """
     rd_map = range_doppler(cube, gate_m)
-    ra_map, detection = detect_gated(rd_map, gate_m)
-    return rd_map, ra_map, detection
+    ra_map = range_angle_at_doppler(rd_map, gate_peak(rd_map, gate_m)[1])
+    return rd_map, ra_map, detect_target(rd_map, ra_map, gate_m)
 
 
 def calibrate_from_cubes(

@@ -140,7 +140,7 @@ class RangeDopplerMap:
     per_antenna: np.ndarray
     first_range_bin: int
     full_range_bins: int
-    cube: RadarCube  # the samples, for the cell readout of `detect_target` and `detect_gated`
+    cube: RadarCube  # the samples, for the cell readout of `detect_target`
 
     def __post_init__(self):
         if np.any(self.magnitudes < 0) or not np.all(np.isfinite(self.magnitudes)):
@@ -328,7 +328,8 @@ def _default_weights(positions: bytes, wavelength_m: float) -> np.ndarray:
 def range_angle(cube: RadarCube) -> RangeAngleMap:
     """Beamform the zero-Doppler range spectra of every row over `DEFAULT_ANGLE_GRID_RAD`.
 
-    The full static map, for `extract --debug`.  The FFT is linear, so the
+    The full static map, which no chain path reads: the reference that
+    `range_angle_at_doppler` is tested against.  The FFT is linear, so the
     chirps are averaged first, over the contiguous rows of the cube's
     antenna-major storage, into a zero-padded [antenna, range] block that
     is range-FFT'd along its last axis.
@@ -365,11 +366,11 @@ def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAn
     )
 
 
-def _gate_peak(rd_map: RangeDopplerMap, gate_m) -> tuple[int, int]:
-    """Range bin and shifted Doppler bin of the strongest gated cell.
+def gate_peak(rd_map: RangeDopplerMap, gate_m) -> tuple[int, int]:
+    """Range bin and shifted Doppler bin of the strongest cell in the gate's rows.
 
-    The cell must clear `THRESHOLD_DB` over the median of the gate's range
-    rows, all of which `rd_map` must hold; otherwise NoTargetError.
+    `rd_map` must hold every row of the gate.  No threshold is applied:
+    `detect_target` decides whether the cell is a target.
     """
     lo, hi = _gate_rows(gate_m, rd_map.range_bin_m, rd_map.full_range_bins)
     first = rd_map.first_range_bin
@@ -380,57 +381,37 @@ def _gate_peak(rd_map: RangeDopplerMap, gate_m) -> tuple[int, int]:
         )
     gated = rd_map.magnitudes[lo - first : hi - first]
     r_off, d_bin = np.unravel_index(int(np.argmax(gated)), gated.shape)
-    peak = float(gated[r_off, d_bin])
-    threshold = median(gated) * 10.0 ** (THRESHOLD_DB / 20.0)
-    if peak <= 0.0 or peak < threshold:
+    return lo + int(r_off), int(d_bin)
+
+
+def detect_target(rd_map: RangeDopplerMap, ra_map: RangeAngleMap, gate_m) -> TargetDetection:
+    """The `gate_peak` cell, when it stands `THRESHOLD_DB` over the gate rows' median.
+
+    Its angle is the peak of `ra_map`'s row at the cell's range, so
+    `ra_map` must hold that row.  The gated signal is not read from a map
+    but from the map's cube by `_cell_signal`, so it has the same bytes
+    for a full and a gated map and on every BLAS kernel.  Raises
+    NoTargetError when the cell does not clear the threshold.
+    """
+    r_bin, d_bin = gate_peak(rd_map, gate_m)
+    lo, hi = _gate_rows(gate_m, rd_map.range_bin_m, rd_map.full_range_bins)
+    gated = rd_map.magnitudes[lo - rd_map.first_range_bin : hi - rd_map.first_range_bin]
+    peak = float(gated[r_bin - lo, d_bin])
+    if peak <= 0.0 or peak < median(gated) * 10.0 ** (THRESHOLD_DB / 20.0):
         raise NoTargetError(
             f"no cell in gate [{float(gate_m[0])}, {float(gate_m[1])}] m above "
             f"{THRESHOLD_DB:.1f} dB over the median of the gate's range rows"
         )
-    return lo + int(r_off), int(d_bin)
-
-
-def _detection(
-    rd_map: RangeDopplerMap, ra_map: RangeAngleMap, r_bin: int, d_bin: int
-) -> TargetDetection:
-    """The detection at a cell, its angle the peak of `ra_map`'s row r_bin.
-
-    The gated signal is not read from the map but from the map's cube by
-    `_cell_signal`, so it has the same bytes for a full and a gated map
-    and on every BLAS kernel.
-    """
     a_bin = int(np.argmax(ra_map.magnitudes[r_bin - ra_map.first_range_bin]))
-    velocity = (rd_map.zero_doppler_bin - d_bin) * rd_map.velocity_bin_m_s
     return TargetDetection(
         range_m=r_bin * rd_map.range_bin_m,
-        velocity_m_s=float(velocity),
+        velocity_m_s=float((rd_map.zero_doppler_bin - d_bin) * rd_map.velocity_bin_m_s),
         angle_rad=float(ra_map.angle_grid_rad[a_bin]),
         range_bin=r_bin,
         angle_bin=a_bin,
         doppler_bin=d_bin,
         gated_signal=_cell_signal(rd_map.cube, r_bin, d_bin),
     )
-
-
-def detect_target(rd_map: RangeDopplerMap, ra_map: RangeAngleMap, gate_m) -> TargetDetection:
-    """Strongest gated cell, at least `THRESHOLD_DB` over the gate rows' median.
-
-    A gated `rd_map` must hold every row of the gate, and `ra_map` the
-    detected row.  Raises NoTargetError when nothing inside the gate
-    clears the threshold.
-    """
-    return _detection(rd_map, ra_map, *_gate_peak(rd_map, gate_m))
-
-
-def detect_gated(rd_map: RangeDopplerMap, gate_m) -> tuple[RangeAngleMap, TargetDetection]:
-    """`detect_target` with the range-angle map taken from `rd_map` itself.
-
-    The map is `range_angle_at_doppler` of the held rows at the detected
-    Doppler bin, so the frame needs no second range transform.
-    """
-    r_bin, d_bin = _gate_peak(rd_map, gate_m)
-    ra_map = range_angle_at_doppler(rd_map, d_bin)
-    return ra_map, _detection(rd_map, ra_map, r_bin, d_bin)
 
 
 def detection_voxel(detection: TargetDetection) -> np.ndarray:

@@ -4,8 +4,10 @@ import platform
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import radmat
@@ -28,8 +30,9 @@ from radmat.dielectric import EmFeatureVector
 from radmat.docio import canonical_bytes, check_keys, read_document, write_document
 from radmat.errors import RadmatError
 from radmat.fusion import RadarContext, VisualContext
-from radmat.pipeline import calibrate_from_cubes
-from radmat.spectral import range_angle, range_doppler
+from radmat.pipeline import calibrate_from_cubes, detect
+from radmat.signal_model import SceneTarget
+from radmat.spectral import range_angle_at_doppler, range_doppler
 from radmat.vlm import ProviderConfig
 from conftest import FIXTURE_NOISE_W, child_env, make_plate
 
@@ -156,10 +159,35 @@ class TestSimulate:
         assert "format: scene: noise_power_w must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_noise_power_exits_domain(self, tmp_path, config, fixture_position, capsys):
+    def test_negative_noise_power_exits_format(self, tmp_path, config, fixture_position, capsys):
         scene = _write_scene(tmp_path, config, fixture_position, 4.0, noise_power_w=-1e-3)
-        assert main(["simulate", scene, "-o", str(tmp_path / "x.rcub")]) == EXIT_DOMAIN
-        assert "noise power must be finite and >= 0" in capsys.readouterr().err
+        assert main(["simulate", scene, "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
+        assert "format: scene: noise_power_w must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("scene", "noise_power"),  # the real key is noise_power_w
+            ("target 0", "radial_velocity"),  # would simulate a static target
+            ("chirp", "chirps"),
+            ("array", "count"),
+        ],
+    )
+    def test_unknown_key_exits_format(
+        self, tmp_path, config, fixture_position, capsys, section, key
+    ):
+        doc = scene_doc(config, [plate_entry(fixture_position, 4.0)])
+        parts = {"scene": doc, "chirp": doc["chirp"], "array": doc["array"]}
+        parts["target 0"] = doc["targets"][0]
+        parts[section][key] = 0.65
+        path = tmp_path / "scene.json"
+        write_document(path, doc)
+        out = tmp_path / "x.rcub"
+        assert main(["simulate", str(path), "-o", str(out)]) == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith(
+            f"format: {section}: unknown keys ['{key}']"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [("scene", "seed"), ("chirp", "samples_per_chirp")])
     def test_infinite_count_exits_format(
@@ -348,7 +376,7 @@ class TestExtract:
         self, tmp_path, fixture_position, frame_factory, profile_path
     ):
         # detection beamforms the gated map's held rows; the debug dump
-        # stays the full static map
+        # beamforms every row, at the detected Doppler bin
         cube_path = tmp_path / "plate.rcub"
         write_cube(cube_path, frame_factory([make_plate(fixture_position, 9.0)], seed=63))
         out = tmp_path / "features.json"
@@ -359,8 +387,39 @@ class TestExtract:
         assert code == EXIT_OK
         ra_map = tmp_path / "features.ra_map.json"
         assert read_document(ra_map)["range_bins"] == 1024
-        full = range_angle(read_cube(cube_path)).to_document()
+        cube = read_cube(cube_path)
+        _, _, det = detect(cube, (0.1, 0.6))
+        full = range_angle_at_doppler(range_doppler(cube), det.doppler_bin).to_document()
         assert ra_map.read_bytes() == canonical_bytes(full)
+
+    def test_debug_ra_map_of_a_mover_is_the_map_detected_on(
+        self, tmp_path, config, fixture_position, frame_factory, profile_path
+    ):
+        # a board moving one Doppler bin, and a small static metal facet at
+        # 30 degrees in the same range row, facing the radar; the static
+        # map's row peaks at the facet, the board's Doppler bin at the board
+        facet = SceneTarget(
+            position_m=fixture_position[2] * np.array([0.5, 0.0, math.sqrt(3.0) / 2.0]),
+            dielectric_constant=1.0e6,
+            facet_normal=np.array([-0.5, 0.0, -math.sqrt(3.0) / 2.0]),
+            facet_area_m2=0.002,
+        )
+        board = replace(make_plate(fixture_position, 4.0), radial_velocity_m_s=0.65)
+        cube_path = tmp_path / "mover.rcub"
+        write_cube(cube_path, frame_factory([board, facet], seed=64))
+        out = tmp_path / "features.json"
+        code = main(
+            ["extract", str(cube_path), "--profile", profile_path,
+             "--gate", "0.1", "0.6", "-o", str(out), "--debug"]
+        )
+        assert code == EXIT_OK
+        features = read_document(out)
+        assert features["angle_rad"] == 0.0 and features["velocity_m_s"] != 0.0
+        ra_map = read_document(tmp_path / "features.ra_map.json")
+        rows = np.reshape(ra_map["magnitudes_row_major"], (1024, ra_map["angle_bins"]))
+        range_bin = round(features["range_m"] / ra_map["range_bin_m"])
+        peak_angle = ra_map["angle_grid_rad"][int(np.argmax(rows[range_bin]))]
+        assert peak_angle == features["angle_rad"]
 
     def test_debug_base_keeps_dotted_directory(
         self, tmp_path, fixture_position, frame_factory, profile_path

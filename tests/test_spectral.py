@@ -29,6 +29,7 @@ from radmat.spectral import (
     _default_weights,
     _dft_block,
     _twiddles,
+    gate_peak,
     median,
     range_angle_at_doppler,
     steering_matrix,
@@ -322,6 +323,15 @@ class TestDetectTarget:
         cube = synthesize_frame([], config, geometry, 0.0, 5)
         with pytest.raises(NoTargetError):
             detect_target(range_doppler(cube), range_angle(cube), GATE_M)
+
+    def test_gate_peak_applies_no_threshold(self, config, geometry):
+        # a noise-only gate still has a strongest cell; only detect_target tests it
+        rd = range_doppler(synthesize_frame([], config, geometry, 1e-6, 5), GATE_M)
+        r_bin, d_bin = gate_peak(rd, GATE_M)
+        gated = rd.magnitudes[PRCA_MARGIN_ROWS:-PRCA_MARGIN_ROWS]
+        assert rd.magnitudes[r_bin - rd.first_range_bin, d_bin] == gated.max()
+        with pytest.raises(NoTargetError):
+            detect_target(rd, range_angle_at_doppler(rd, d_bin), GATE_M)
 
     def test_oracle_target_recovered_within_one_bin(self, config, geometry):
         cube = _single_target_cube(config, geometry, 0.25)

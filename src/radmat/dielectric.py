@@ -34,7 +34,7 @@ R_P_CEILING = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class EmFeatureVector:
-    """The eight radar-derived parameters handed to matching and fusion."""
+    """The nine radar-derived parameters handed to matching and fusion."""
 
     range_m: float
     velocity_m_s: float

@@ -87,18 +87,20 @@ def shoelace_area(vertices) -> float:
     return float(0.5 * abs(np.sum(x * np.roll(y, -1)) - np.sum(np.roll(x, -1) * y)))
 
 
-def _angle_edges(grid: np.ndarray) -> np.ndarray:
-    mids = (grid[:-1] + grid[1:]) / 2.0
-    first = grid[0] - (grid[1] - grid[0]) / 2.0 if grid.size > 1 else grid[0] - 0.5
-    last = grid[-1] + (grid[-1] - grid[-2]) / 2.0 if grid.size > 1 else grid[0] + 0.5
-    return np.concatenate([[first], mids, [last]])
+# sin(dtheta) of each angle bin of the one grid, built once: the bin edges
+# are the midpoints between grid angles and half a step beyond its two ends
+_G = RangeAngleMap.angle_grid_rad
+_EDGES = np.hstack(
+    [_G[0] - (_G[1] - _G[0]) / 2.0, (_G[:-1] + _G[1:]) / 2.0, _G[-1] + (_G[-1] - _G[-2]) / 2.0]
+)
+_SIN_WIDTHS = [math.sin(width) for width in np.diff(_EDGES).tolist()]
 
 
 def region_area(cells, ra_map: RangeAngleMap) -> float:
     """Total Cartesian area of the region's polar grid cells.
 
     Cell (i, j) spans ranges (i - 0.5)*dr .. (i + 0.5)*dr, the inner edge
-    clamped at 0, and the angle bin edges of ``_angle_edges``.  Its corner
+    clamped at 0, and the angle bin j of `_SIN_WIDTHS`.  Its corner
     quadrilateral has the shoelace area 0.5*(r_hi^2 - r_lo^2)*sin(dtheta):
     i*dr^2*sin(dtheta), or dr^2/8*sin(dtheta) for the clamped range-0 cell.
     The per-cell areas are summed with exact rounding (math.fsum), so the
@@ -107,11 +109,8 @@ def region_area(cells, ra_map: RangeAngleMap) -> float:
     """
     if not cells:
         raise DomainError("region is empty")
-    edges = _angle_edges(ra_map.angle_grid_rad).tolist()
     dr2 = ra_map.range_bin_m * ra_map.range_bin_m
-    return math.fsum(
-        (i if i else 0.125) * dr2 * math.sin(edges[j + 1] - edges[j]) for i, j in cells
-    )
+    return math.fsum((i if i else 0.125) * dr2 * _SIN_WIDTHS[j] for i, j in cells)
 
 
 def compute_prca(ra_map: RangeAngleMap, seed) -> PrcaRegion:

@@ -166,31 +166,23 @@ class RangeDopplerMap:
 
 @dataclass(frozen=True)
 class RangeAngleMap:
-    """Beamformed magnitude map over range rows and the angle grid.
+    """Beamformed magnitude map over range rows and the one angle grid.
 
-    Like `RangeDopplerMap`, a gated map holds only some range rows: row i
-    is range bin `first_range_bin + i` of a full map of `full_range_bins`
-    rows.  A full map has `first_range_bin` 0, and `full_range_bins`
-    defaults to its own row count.
+    `magnitudes` has a column per angle of the class's `angle_grid_rad`,
+    `DEFAULT_ANGLE_GRID_RAD`.  Like `RangeDopplerMap`, a gated map holds
+    only some range rows: row i is range bin `first_range_bin + i` of a
+    full map of `full_range_bins` rows.  A full map has `first_range_bin` 0.
     """
 
-    magnitudes: np.ndarray  # [range rows, angle_bins]
-    angle_grid_rad: np.ndarray
+    angle_grid_rad = DEFAULT_ANGLE_GRID_RAD  # unannotated: a class attribute, not a field
+    magnitudes: np.ndarray  # [range rows, angle bins]
     range_bin_m: float
-    first_range_bin: int = 0
-    full_range_bins: int | None = None
+    first_range_bin: int
+    full_range_bins: int
 
     def __post_init__(self):
-        grid = np.asarray(self.angle_grid_rad, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise DomainError("angle grid must be a non-empty 1D array")
-        if np.any(np.diff(grid) <= 0):
-            raise DomainError("angle grid must be strictly increasing")
-        if grid[0] < -np.pi / 2 - 1e-12 or grid[-1] > np.pi / 2 + 1e-12:
-            raise DomainError("angle grid must lie within [-pi/2, pi/2]")
-        object.__setattr__(self, "angle_grid_rad", grid)
-        if self.full_range_bins is None:
-            object.__setattr__(self, "full_range_bins", self.magnitudes.shape[0])
+        if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.angle_grid_rad.size:
+            raise DomainError("range-angle magnitudes need one column per grid angle")
 
     def to_document(self) -> dict:
         doc = {
@@ -342,7 +334,7 @@ def range_angle(cube: RadarCube) -> RangeAngleMap:
     spectra = np.fft.fft(chirp_mean, axis=1)  # (N, R)
     weights = _default_weights(cube.geometry.element_positions.tobytes(), cfg.wavelength_m)
     magnitudes = np.abs(spectra.T @ weights)
-    return RangeAngleMap(magnitudes, DEFAULT_ANGLE_GRID_RAD, range_bin_m)
+    return RangeAngleMap(magnitudes, range_bin_m, 0, n_fft_r)
 
 
 def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAngleMap:
@@ -359,7 +351,6 @@ def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAn
     beams = rd_map.per_antenna[:, doppler_bin, :] @ weights
     return RangeAngleMap(
         np.abs(beams) / cfg.chirps_per_frame,
-        DEFAULT_ANGLE_GRID_RAD,
         rd_map.range_bin_m,
         rd_map.first_range_bin,
         rd_map.full_range_bins,

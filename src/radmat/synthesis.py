@@ -3,7 +3,7 @@
 Given the calibrated, phase-focused per-antenna signals I_j at a voxel v:
 
     S        = sum_j I_j                       (coherent sum)
-    w_j      = Re(I_j) Re(S) + Im(I_j) Im(S)) / |S|
+    w_j      = (Re(I_j) Re(S) + Im(I_j) Im(S)) / |S|
     u_j      = (p_j - v) / ||p_j - v||
     S_w      = sum_j w_j * u_j                 (reconstructed vector)
     c        = |S|^2 / (N * sum_j |I_j|^2)     (coherence factor)

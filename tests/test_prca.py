@@ -28,12 +28,12 @@ from radmat.spectral import (
 )
 
 
-def _map(magnitudes, range_bin_m=0.02, grid_deg=None):
+def _map(magnitudes, range_bin_m=0.02, first_range_bin=0, full_range_bins=None):
+    """A map over the fixed angle grid with `magnitudes` in its first columns."""
     mags = np.asarray(magnitudes, dtype=float)
-    if grid_deg is None:
-        half = (mags.shape[1] - 1) / 2.0
-        grid_deg = np.arange(mags.shape[1]) - half
-    return RangeAngleMap(mags, np.radians(np.asarray(grid_deg, float)), range_bin_m)
+    padded = np.zeros((mags.shape[0], DEFAULT_ANGLE_GRID_RAD.size))
+    padded[:, : mags.shape[1]] = mags
+    return RangeAngleMap(padded, range_bin_m, first_range_bin, full_range_bins or mags.shape[0])
 
 
 def annular_sector_area(r_lo, r_hi, dtheta):
@@ -89,7 +89,7 @@ class TestExtractRegion:
         mags = np.zeros((5, 5))
         mags[2, 2] = 1.0
         mags[3:, 2] = 0.9
-        held = RangeAngleMap(mags, np.radians(np.arange(5.0) - 2.0), 0.02, 10, 40)
+        held = _map(mags, 0.02, 10, 40)
         cells, peak, _ = extract_region(held, (12, 2))
         assert peak == (12, 2)
         assert cells == ((12, 2), (13, 2), (14, 2))
@@ -167,39 +167,45 @@ def exact_region_area(cells, grid_rad, range_bin_m):
     """Exact rational area of the cells' corner quadrilaterals.
 
     Range edges (i +- 0.5)*dr with the inner edge clamped at 0; angle edges
-    are the midpoints between grid angles (interior bins only).  Only the
-    per-cell sines are rounded; everything else is exact.
+    are the midpoints between grid angles, and half a step beyond the grid
+    at its two ends.  Only the per-cell sines are rounded; everything else
+    is exact.
     """
     grid = [float(a) for a in grid_rad]
+    edges = [grid[0] - (grid[1] - grid[0]) / 2.0]
+    edges += [(a + b) / 2.0 for a, b in zip(grid, grid[1:])]
+    edges.append(grid[-1] + (grid[-1] - grid[-2]) / 2.0)
     dr = Fraction(range_bin_m)
     total = Fraction(0)
     for i, j in cells:
-        assert 0 < j < len(grid) - 1
-        t_lo = (grid[j - 1] + grid[j]) / 2.0
-        t_hi = (grid[j] + grid[j + 1]) / 2.0
         r_lo = max((i - Fraction(1, 2)) * dr, Fraction(0))
         r_hi = (i + Fraction(1, 2)) * dr
-        total += (r_hi**2 - r_lo**2) / 2 * Fraction(math.sin(t_hi - t_lo))
+        total += (r_hi**2 - r_lo**2) / 2 * Fraction(math.sin(edges[j + 1] - edges[j]))
     return total
 
 
 B7_CELLS = tuple((16, j) for j in range(84, 97))  # the b7 golden decision's region
 BLOCK_CELLS = tuple((i, j) for i in range(10) for j in range(80, 100))  # has the clamped bin 0
+# every row of both outer angle bins, whose outer edges lie half a step beyond the grid
+OUTER_CELLS = tuple((i, j) for i in range(32) for j in (0, 180))
+REGIONS = pytest.mark.parametrize(
+    "cells", [B7_CELLS, BLOCK_CELLS, OUTER_CELLS], ids=["b7", "block", "outer"]
+)
 
 
 class TestRegionAreaExact:
     @pytest.fixture()
     def ra(self, config):
         mags = np.zeros((32, DEFAULT_ANGLE_GRID_RAD.size))
-        return RangeAngleMap(mags, DEFAULT_ANGLE_GRID_RAD, padded_range_bin_m(config))
+        return RangeAngleMap(mags, padded_range_bin_m(config), 0, mags.shape[0])
 
-    @pytest.mark.parametrize("cells", [B7_CELLS, BLOCK_CELLS], ids=["b7", "block"])
+    @REGIONS
     def test_within_one_ulp_of_exact_reference(self, ra, cells):
         reference = exact_region_area(cells, ra.angle_grid_rad, ra.range_bin_m)
         area = region_area(cells, ra)
         assert abs(Fraction(area) - reference) <= Fraction(math.ulp(float(reference)))
 
-    @pytest.mark.parametrize("cells", [B7_CELLS, BLOCK_CELLS], ids=["b7", "block"])
+    @REGIONS
     def test_bit_identical_for_any_cell_order(self, ra, cells):
         area = region_area(cells, ra)
         assert region_area(cells[::-1], ra) == area

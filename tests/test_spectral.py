@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from radmat.spectral import (
     DEFAULT_ANGLE_GRID_RAD,
     DFT_CROSSOVER_ROWS,
     PRCA_MARGIN_ROWS,
+    RangeAngleMap,
     _default_weights,
     _dft_block,
     _twiddles,
@@ -216,6 +218,21 @@ class TestRangeAngle:
     def test_single_antenna_rejected(self):
         with pytest.raises(DomainError):
             ArrayGeometry(np.array([[0.0, 0.0, 0.0]]))
+
+    def test_every_map_is_over_the_one_grid(self, config, geometry):
+        cube = _single_target_cube(config, geometry, 0.25)
+        held = range_angle_at_doppler(range_doppler(cube, GATE_M), 0)
+        for ra in (range_angle(cube), held):
+            assert ra.angle_grid_rad is DEFAULT_ANGLE_GRID_RAD
+        fields = [f.name for f in dataclasses.fields(RangeAngleMap)]
+        assert fields == ["magnitudes", "range_bin_m", "first_range_bin", "full_range_bins"]
+
+    @pytest.mark.parametrize("shape", [(3, 180), (3, 182), (3, 1), (181,), (2, 3, 181)])
+    def test_map_without_a_column_per_grid_angle_rejected(self, shape):
+        with pytest.raises(DomainError, match="one column per grid angle"):
+            RangeAngleMap(
+                np.ones(shape), range_bin_m=0.02, first_range_bin=0, full_range_bins=shape[0]
+            )
 
     @pytest.mark.parametrize("scene", ["plate", "empty"])
     def test_matches_chirp_averaged_full_cube_fft(self, scene, frame_factory, fixture_position):

@@ -12,16 +12,14 @@ Cube format: a fixed 64-byte little-endian header
     28      8     f64 bandwidth_hz
     36      8     f64 slope_hz_per_s
     44      8     f64 sample_rate_hz
-    52      8     f64 antenna_spacing_m (uniform linear array along x)
+    52      8     f64 antenna_spacing_m (`ArrayGeometry.spacing_m`)
     60      4     zero padding
 
 followed by float32 (real, imag) pairs, fast-time fastest-varying, then
 chirp, then antenna.  That is `RadarCube`'s own antenna-major storage, so
 writing casts the samples as they lie and reading only widens them to
-complex128, with no reordering.  Only uniform linear arrays
-round-trip through this format; the spacing is reconstructed into a
-centered ULA on load.  Every malformed file, header or payload, raises
-FormatError; every malformed scene document, DocumentError.
+complex128, with no reordering.  Every malformed file, header or payload,
+raises FormatError; every malformed scene document, DocumentError.
 """
 
 import dataclasses
@@ -32,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .docio import check_keys, malformed, read_document
-from .errors import DocumentError, DomainError, FormatError
+from .errors import DocumentError, FormatError
 from .signal_model import ArrayGeometry, ChirpConfig, RadarCube, SceneTarget, default_geometry
 
 MAGIC = b"RCUB"
@@ -48,30 +46,7 @@ _OPTIONAL_TARGET_KEYS = {
 }
 
 
-def _ula_spacing(geometry: ArrayGeometry) -> float:
-    """Of the mean step (x[-1] - x[0]) / (n - 1) and its two one-ULP
-    neighbours, the spacing from which `ArrayGeometry.uniform_linear`
-    rebuilds the element positions most closely (for a centered ULA,
-    bit-exactly; the first step x[1] - x[0] often is not exact)."""
-    pos = geometry.element_positions
-    x = pos[:, 0]
-    step = (x[-1] - x[0]) / (len(x) - 1)
-    if not (
-        np.allclose(pos[:, 1:], 0.0, atol=1e-12)
-        and step > 0
-        and np.allclose(np.diff(x), step, atol=1e-12)
-    ):
-        raise DomainError("cube files only support uniform linear arrays along x")
-    candidates = (step, np.nextafter(step, 0.0), np.nextafter(step, np.inf))
-    errors = [
-        np.max(np.abs(ArrayGeometry.uniform_linear(len(x), s).element_positions[:, 0] - x))
-        for s in candidates
-    ]
-    return float(candidates[int(np.argmin(errors))])
-
-
 def write_cube(path, cube: RadarCube) -> None:
-    spacing = _ula_spacing(cube.geometry)
     cfg = cube.config
     header = _HEADER.pack(
         MAGIC,
@@ -83,7 +58,7 @@ def write_cube(path, cube: RadarCube) -> None:
         cfg.bandwidth_hz,
         cfg.slope_hz_per_s,
         cfg.sample_rate_hz,
-        spacing,
+        cube.geometry.spacing_m,
     ).ljust(HEADER_SIZE, b"\x00")
     # the cube's antenna-major storage is the payload order
     data = cube.samples.transpose(2, 1, 0).astype(np.complex64)
@@ -106,29 +81,36 @@ def read_cube(path) -> RadarCube:
         raise FormatError(f"{path}: payload size {len(raw)} does not match header dimensions")
     with malformed(FormatError, f"{path}: invalid header values"):
         config = ChirpConfig(f0, bw, slope, fs, n_fast, n_chirp)
-        geometry = ArrayGeometry.uniform_linear(n_ant, spacing)
+        geometry = ArrayGeometry(n_ant, spacing)
     flat = np.frombuffer(raw, dtype="<c8", offset=HEADER_SIZE)
     samples = flat.reshape(n_ant, n_chirp, n_fast).transpose(2, 1, 0)
     with malformed(FormatError, f"{path}: invalid payload"):
         return RadarCube(samples, config, geometry)  # widened to complex128 in one copy
 
 
+def _whole_number(doc: dict, key: str) -> int:
+    """`doc[key]` as an int: a JSON number with a whole value, not a bool, string or fraction."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"{key} must be a whole number, not {value!r}")
+    return int(value)
+
+
 def chirp_config_from_document(doc: dict) -> ChirpConfig:
-    """Every `ChirpConfig` field is required, cast by its annotation."""
+    """Every `ChirpConfig` field is required; an `int` field must be a whole number."""
     fields = dataclasses.fields(ChirpConfig)
     with malformed(DocumentError, "chirp"):
         check_keys(doc, "chirp", [field.name for field in fields])
-        return ChirpConfig(**{field.name: field.type(doc[field.name]) for field in fields})
+        cast = {int: _whole_number, float: lambda d, key: float(d[key])}
+        return ChirpConfig(**{field.name: cast[field.type](doc, field.name) for field in fields})
 
 
 def geometry_from_document(doc: dict, config: ChirpConfig) -> ArrayGeometry:
     with malformed(DocumentError, "array"):
-        check_keys(doc, "array", ("positions_m", "element_count", "spacing_m"))
-        if "positions_m" in doc:
-            return ArrayGeometry(np.asarray(doc["positions_m"], dtype=float))
-        count = int(doc["element_count"])
+        check_keys(doc, "array", ("element_count", "spacing_m"))
+        count = _whole_number(doc, "element_count")
         if "spacing_m" in doc:
-            return ArrayGeometry.uniform_linear(count, float(doc["spacing_m"]))
+            return ArrayGeometry(count, float(doc["spacing_m"]))
         return default_geometry(config, count)
 
 
@@ -159,7 +141,7 @@ def load_scene(path):
         noise = float(doc.get("noise_power_w", 0.0))
         if not (math.isfinite(noise) and noise >= 0.0):
             raise ValueError(f"noise_power_w must be finite and >= 0, not {noise}")
-        seed = int(doc["seed"])
-        if seed < 0 or seed != doc["seed"]:
-            raise ValueError(f"seed must be a non-negative whole number, not {doc['seed']!r}")
+        seed = _whole_number(doc, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative whole number, not {seed}")
     return targets, config, geometry, noise, seed

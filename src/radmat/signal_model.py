@@ -23,6 +23,7 @@ Per-antenna phases are two-way (4*pi/lambda), i.e. each element is
 treated as the phase center of its own round trip.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,35 +87,23 @@ class ChirpConfig:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Receive array element positions, in meters, boresight along +z."""
+    """Receive array: a uniform linear array along x, centered on the origin."""
 
-    element_positions: np.ndarray  # shape (N, 3)
+    element_count: int
+    spacing_m: float
 
     def __post_init__(self):
-        pos = np.asarray(self.element_positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise DomainError("element_positions must have shape (N, 3)")
-        if not np.all(np.isfinite(pos)):
-            raise DomainError("element positions must be finite")
-        if pos.shape[0] < 2:
-            raise DomainError("array needs at least 2 elements")
-        if len({tuple(p) for p in pos.round(12)}) != pos.shape[0]:
-            raise DomainError("element positions must be distinct")
-        object.__setattr__(self, "element_positions", pos)
+        if not (self.element_count >= 2 and math.isfinite(self.spacing_m) and self.spacing_m > 0):
+            raise DomainError("array needs at least 2 elements and a finite spacing > 0")
 
-    @property
-    def element_count(self) -> int:
-        return self.element_positions.shape[0]
-
-    @classmethod
-    def uniform_linear(cls, element_count: int, spacing_m: float) -> "ArrayGeometry":
-        """ULA along x, centered on the origin."""
-        if element_count < 2 or spacing_m <= 0:
-            raise DomainError("ULA needs >= 2 elements and positive spacing")
-        x = (np.arange(element_count) - (element_count - 1) / 2.0) * spacing_m
-        pos = np.zeros((element_count, 3))
+    @functools.cached_property
+    def element_positions(self) -> np.ndarray:
+        """Element positions in meters, shape (N, 3), read-only."""
+        x = (np.arange(self.element_count) - (self.element_count - 1) / 2.0) * self.spacing_m
+        pos = np.zeros((self.element_count, 3))
         pos[:, 0] = x
-        return cls(pos)
+        pos.flags.writeable = False
+        return pos
 
 
 def default_geometry(config: ChirpConfig, element_count: int = 8) -> ArrayGeometry:
@@ -123,7 +112,7 @@ def default_geometry(config: ChirpConfig, element_count: int = 8) -> ArrayGeomet
     With two-way per-element phases (4*pi/lambda), lambda/4 spacing keeps
     the full +/-90 deg field of view free of grating lobes.
     """
-    return ArrayGeometry.uniform_linear(element_count, config.wavelength_m / 4.0)
+    return ArrayGeometry(element_count, config.wavelength_m / 4.0)
 
 
 @dataclass(frozen=True)

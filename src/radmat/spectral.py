@@ -304,14 +304,9 @@ def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad
 
 
 @functools.lru_cache(maxsize=8)
-def _default_weights(positions: bytes, wavelength_m: float) -> np.ndarray:
-    """`steering_matrix` over `DEFAULT_ANGLE_GRID_RAD`, read-only, built once per array.
-
-    `positions` is the array's `element_positions.tobytes()`, since an
-    `ArrayGeometry` holds an ndarray and is not hashable; the key also
-    holds the wavelength.
-    """
-    geometry = ArrayGeometry(np.frombuffer(positions).reshape(-1, 3))
+def _default_weights(geometry: ArrayGeometry, wavelength_m: float) -> np.ndarray:
+    """`steering_matrix` over `DEFAULT_ANGLE_GRID_RAD`, read-only, built once
+    per array and wavelength."""
     weights = steering_matrix(geometry, wavelength_m, DEFAULT_ANGLE_GRID_RAD)
     weights.flags.writeable = False
     return weights
@@ -332,7 +327,7 @@ def range_angle(cube: RadarCube) -> RangeAngleMap:
     chirp_mean = np.zeros((cube.geometry.element_count, n_fft_r), dtype=complex)
     np.mean(by_antenna, axis=1, out=chirp_mean[:, : cfg.samples_per_chirp])
     spectra = np.fft.fft(chirp_mean, axis=1)  # (N, R)
-    weights = _default_weights(cube.geometry.element_positions.tobytes(), cfg.wavelength_m)
+    weights = _default_weights(cube.geometry, cfg.wavelength_m)
     magnitudes = np.abs(spectra.T @ weights)
     return RangeAngleMap(magnitudes, range_bin_m, 0, n_fft_r)
 
@@ -347,7 +342,7 @@ def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAn
     target keeps its whole echo at its own bin.
     """
     cube, cfg = rd_map.cube, rd_map.cube.config
-    weights = _default_weights(cube.geometry.element_positions.tobytes(), cfg.wavelength_m)
+    weights = _default_weights(cube.geometry, cfg.wavelength_m)
     beams = rd_map.per_antenna[:, doppler_bin, :] @ weights
     return RangeAngleMap(
         np.abs(beams) / cfg.chirps_per_frame,

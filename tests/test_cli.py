@@ -171,6 +171,7 @@ class TestSimulate:
             ("target 0", "radial_velocity"),  # would simulate a static target
             ("chirp", "chirps"),
             ("array", "count"),
+            ("array", "positions_m"),  # an array is a ULA: element_count and spacing_m
         ],
     )
     def test_unknown_key_exits_format(
@@ -214,6 +215,13 @@ class TestSimulate:
             ("array", "element_count", "x"),
             ("target", "dielectric_constant", "x"),
             ("target", "facet_area_m2", "x"),
+            # counts are JSON numbers with whole values; each would simulate
+            ("chirp", "samples_per_chirp", 64.7),  # 64 samples
+            ("array", "element_count", 8.9),  # 8 antennas
+            ("chirp", "chirps_per_frame", True),  # 1 chirp
+            ("chirp", "chirps_per_frame", "8"),
+            ("array", "element_count", "8"),
+            ("scene", "seed", True),  # seed 1, since True == 1
         ],
     )
     def test_wrong_type_value_exits_format(
@@ -226,7 +234,7 @@ class TestSimulate:
         path = tmp_path / "scene.json"
         write_document(path, doc)
         assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
-        assert capsys.readouterr().err.startswith("format: ")
+        assert capsys.readouterr().err.startswith(f"format: {section}")
 
 
 class TestCalibrateCommand:

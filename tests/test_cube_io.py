@@ -49,11 +49,14 @@ def test_round_trip_rebuilds_ula_positions_exactly(tmp_path, carrier_hz):
     )
     for fraction in (0.25, 0.37, 0.5, 1.0):
         for count in range(2, 33):
-            geometry = ArrayGeometry.uniform_linear(count, config.wavelength_m * fraction)
+            geometry = ArrayGeometry(count, config.wavelength_m * fraction)
             path = tmp_path / f"ula_{fraction}_{count}.rcub"
             write_cube(path, synthesize_frame([], config, geometry, 0.0, 1))
-            loaded = read_cube(path).geometry.element_positions
-            assert np.array_equal(loaded, geometry.element_positions), (fraction, count)
+            loaded = read_cube(path).geometry
+            assert loaded == geometry, (fraction, count)
+            assert np.array_equal(
+                loaded.element_positions, geometry.element_positions
+            ), (fraction, count)
 
 
 def test_magic_bytes_present(tmp_path, sample_cube):

@@ -51,25 +51,23 @@ class TestChirpConfig:
 
 class TestArrayGeometry:
     def test_ula_centered(self):
-        geo = ArrayGeometry.uniform_linear(4, 0.001)
+        geo = ArrayGeometry(4, 0.001)
         assert np.allclose(geo.element_positions[:, 0].sum(), 0.0)
         assert np.allclose(np.diff(geo.element_positions[:, 0]), 0.001)
 
     def test_rejects_single_element(self):
         with pytest.raises(DomainError):
-            ArrayGeometry(np.zeros((1, 3)))
+            ArrayGeometry(1, 0.001)
 
-    def test_rejects_duplicate_positions(self):
+    @pytest.mark.parametrize("value", [0.0, -0.001])
+    def test_rejects_non_positive_spacing(self, value):
         with pytest.raises(DomainError):
-            ArrayGeometry(np.zeros((2, 3)))
+            ArrayGeometry(4, value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_positions(self, value):
-        positions = np.array([[0.0, 0.0, 0.0], [0.001, 0.0, value]])
+    def test_rejects_non_finite_spacing(self, value):
         with pytest.raises(DomainError, match="finite"):
-            ArrayGeometry(positions)
-        with pytest.raises(DomainError):
-            ArrayGeometry.uniform_linear(4, value)
+            ArrayGeometry(4, value)
 
 
 class TestBeatFrequency:

@@ -217,7 +217,7 @@ class TestRangeAngle:
 
     def test_single_antenna_rejected(self):
         with pytest.raises(DomainError):
-            ArrayGeometry(np.array([[0.0, 0.0, 0.0]]))
+            ArrayGeometry(1, 0.00125)
 
     def test_every_map_is_over_the_one_grid(self, config, geometry):
         cube = _single_target_cube(config, geometry, 0.25)
@@ -567,7 +567,7 @@ class TestShapeConstants:
         constants = [
             _twiddles(1024),
             _dft_block(600, 1024, 4, 25),
-            _default_weights(cube.geometry.element_positions.tobytes(), cube.config.wavelength_m),
+            _default_weights(cube.geometry, cube.config.wavelength_m),
             DEFAULT_ANGLE_GRID_RAD,
         ]
         for constant in constants:
@@ -584,7 +584,7 @@ class TestShapeConstants:
             _dft_block(n_fast, n_fft_r, 3, 30), _twiddles.__wrapped__(n_fft_r)[index]
         )
         np.testing.assert_array_equal(
-            _default_weights(cube.geometry.element_positions.tobytes(), wavelength_m),
+            _default_weights(cube.geometry, wavelength_m),
             steering_matrix(cube.geometry, wavelength_m, DEFAULT_ANGLE_GRID_RAD),
         )
 

@@ -19,7 +19,8 @@ followed by float32 (real, imag) pairs, fast-time fastest-varying, then
 chirp, then antenna.  That is `RadarCube`'s own antenna-major storage, so
 writing casts the samples as they lie and reading only widens them to
 complex128, with no reordering.  Every malformed file, header or payload,
-raises FormatError; every malformed scene document, DocumentError.
+and every cube that float32 cannot hold raises FormatError; every malformed
+scene document, whose values `docio.typed` reads, DocumentError.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .docio import check_keys, malformed, read_document
+from .docio import check_keys, malformed, read_document, typed
 from .errors import DocumentError, FormatError
 from .signal_model import ArrayGeometry, ChirpConfig, RadarCube, SceneTarget, default_geometry
 
@@ -37,12 +38,9 @@ MAGIC = b"RCUB"
 VERSION = 1
 HEADER_SIZE = 64
 _HEADER = struct.Struct("<4sIIIIddddd")  # 52 bytes, padded to 64
-# optional scene-target keys with their casts; an absent key keeps SceneTarget's default
+# optional scene-target keys with their types; an absent key keeps SceneTarget's default
 _OPTIONAL_TARGET_KEYS = {
-    "radial_velocity_m_s": float,
-    "facet_normal": lambda v: np.asarray(v, float),
-    "facet_area_m2": float,
-    "label": str,
+    "radial_velocity_m_s": float, "facet_normal": list[float], "facet_area_m2": float, "label": str
 }
 
 
@@ -61,7 +59,10 @@ def write_cube(path, cube: RadarCube) -> None:
         cube.geometry.spacing_m,
     ).ljust(HEADER_SIZE, b"\x00")
     # the cube's antenna-major storage is the payload order
-    data = cube.samples.transpose(2, 1, 0).astype(np.complex64)
+    with np.errstate(over="ignore"):
+        data = cube.samples.transpose(2, 1, 0).astype(np.complex64)
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: samples exceed the float32 range")
     Path(path).write_bytes(header + data.tobytes())
 
 
@@ -88,38 +89,29 @@ def read_cube(path) -> RadarCube:
         return RadarCube(samples, config, geometry)  # widened to complex128 in one copy
 
 
-def _whole_number(doc: dict, key: str) -> int:
-    """`doc[key]` as an int: a JSON number with a whole value, not a bool, string or fraction."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ValueError(f"{key} must be a whole number, not {value!r}")
-    return int(value)
-
-
 def chirp_config_from_document(doc: dict) -> ChirpConfig:
-    """Every `ChirpConfig` field is required; an `int` field must be a whole number."""
+    """Every `ChirpConfig` field is required and read by its type with `typed`."""
     fields = dataclasses.fields(ChirpConfig)
     with malformed(DocumentError, "chirp"):
         check_keys(doc, "chirp", [field.name for field in fields])
-        cast = {int: _whole_number, float: lambda d, key: float(d[key])}
-        return ChirpConfig(**{field.name: cast[field.type](doc, field.name) for field in fields})
+        return ChirpConfig(**{f.name: typed(f.type, doc[f.name], f.name) for f in fields})
 
 
 def geometry_from_document(doc: dict, config: ChirpConfig) -> ArrayGeometry:
     with malformed(DocumentError, "array"):
         check_keys(doc, "array", ("element_count", "spacing_m"))
-        count = _whole_number(doc, "element_count")
+        count = typed(int, doc["element_count"], "element_count")
         if "spacing_m" in doc:
-            return ArrayGeometry(count, float(doc["spacing_m"]))
+            return ArrayGeometry(count, typed(float, doc["spacing_m"], "spacing_m"))
         return default_geometry(config, count)
 
 
 def _target_from_entry(entry: dict) -> SceneTarget:
     check_keys(entry, "target", ("position_m", "dielectric_constant", *_OPTIONAL_TARGET_KEYS))
-    optional = {k: cast(entry[k]) for k, cast in _OPTIONAL_TARGET_KEYS.items() if k in entry}
+    optional = {k: typed(t, entry[k], k) for k, t in _OPTIONAL_TARGET_KEYS.items() if k in entry}
     return SceneTarget(
-        position_m=np.asarray(entry["position_m"], float),
-        dielectric_constant=float(entry["dielectric_constant"]),
+        position_m=typed(list[float], entry["position_m"], "position_m"),
+        dielectric_constant=typed(float, entry["dielectric_constant"], "dielectric_constant"),
         **optional,
     )
 
@@ -135,13 +127,13 @@ def load_scene(path):
         config = chirp_config_from_document(doc["chirp"])
         geometry = geometry_from_document(doc["array"], config)
         targets = []
-        for i, entry in enumerate(doc["targets"]):
+        for i, entry in enumerate(typed(list, doc["targets"], "targets")):
             with malformed(DocumentError, f"target {i}"):
                 targets.append(_target_from_entry(entry))
-        noise = float(doc.get("noise_power_w", 0.0))
+        noise = typed(float, doc.get("noise_power_w", 0.0), "noise_power_w")
         if not (math.isfinite(noise) and noise >= 0.0):
             raise ValueError(f"noise_power_w must be finite and >= 0, not {noise}")
-        seed = _whole_number(doc, "seed")
+        seed = typed(int, doc["seed"], "seed")
         if seed < 0:
             raise ValueError(f"seed must be a non-negative whole number, not {seed}")
     return targets, config, geometry, noise, seed

@@ -5,9 +5,9 @@ material stores, fusion contexts, decisions) is a JSON document with
 explicit units in field names.  Serialization is canonical (sorted keys,
 two-space indent, trailing newline) so outputs are byte-stable.
 
-``malformed`` is the one place where a malformed outside document, a cube
-file's header or payload and a provider's answer included, becomes an
-error class: readers index, cast and validate plainly inside it.
+``typed`` is the one rule that types a value of an outside document and
+``malformed`` the one place where a malformed outside document, cube file
+or provider answer becomes an error class, raised from a reader's block.
 
 A document whose keys are its dataclass's field names is derived from
 the fields by ``to_document``: a complex scalar or array goes under
@@ -17,6 +17,7 @@ whose numbers are floats, and other scalars are written as stored.
 
 import dataclasses
 import json
+import reprlib
 import typing
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,8 +42,8 @@ def malformed(error, context: str):
     block as ``error``, with ``context`` as its prefix.
 
     ValueError covers DomainError, json.JSONDecodeError and
-    UnicodeDecodeError; OverflowError covers ``int`` of the infinity that
-    JSON reads 1e400 as; a KeyError names the missing key.
+    UnicodeDecodeError, OverflowError a JSON integer too large for a
+    float; a KeyError names the missing key.
     """
     try:
         yield
@@ -79,25 +80,41 @@ def to_document(obj, kind: str, **extra) -> dict:
     return doc
 
 
-def _coerce(hint, value):
+_NAMES = {
+    float: "a number", int: "a whole number", str: "a string", list: "an array", dict: "an object"
+}
+
+
+def typed(hint, value, name: str):
+    """``value``, read from the key ``name`` of an outside document, as ``hint``:
+    ``float`` takes a JSON number other than ``true``/``false``, ``int`` such
+    a number with a whole value, ``str``, ``list`` and ``dict`` a string, an
+    array and an object, ``list[X]`` an array of ``X`` and ``X | None`` also
+    ``null``; an ``np.ndarray`` is read from ``[re, im]`` pairs and a bare
+    ``tuple`` from ``[name, number]`` pairs.  Any other value raises."""
     args = typing.get_args(hint)
     if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = (arg for arg in args if arg is not type(None))
+        (hint,) = set(args) - {type(None)}
+        return None if value is None else typed(hint, value, name)
+    if args:
+        return [typed(args[0], item, name) for item in typed(list, value, name)]
     if hint is np.ndarray:
-        return np.array([complex(re, im) for re, im in value])
+        return np.array([complex(re, im) for re, im in typed(list[list[float]], value, name)])
     if hint is tuple:
-        return tuple((str(name), float(number)) for name, number in value)
-    return hint(value)
+        pairs = typed(list[list], value, name)
+        return tuple((typed(str, a, name), typed(float, b, name)) for a, b in pairs)
+    if type(value) in (int, float) and (hint is float or hint is int and value % 1 == 0):
+        return hint(value)
+    if hint in (str, list, dict) and isinstance(value, hint):
+        return value
+    raise TypeError(f"{name} is {reprlib.repr(value)}, not {_NAMES[hint]}")
 
 
 def check_keys(doc: dict, kind: str, keys) -> None:
     """Raise TypeError for a ``doc`` that is not an object, and ValueError
     for a ``kind`` other than ``kind``, when the document has one, or for a
     key that is neither ``kind`` nor in ``keys``."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"{kind} must be an object, not {type(doc).__name__}")
+    typed(dict, doc, kind)
     if doc.get("kind", kind) != kind:
         raise ValueError(f"kind {doc['kind']!r} is not {kind!r}")
     unknown = set(doc) - {"kind", *keys}
@@ -106,14 +123,13 @@ def check_keys(doc: dict, kind: str, keys) -> None:
 
 
 def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
-    """Inverse of ``to_document``, coercing each field by its annotation.
+    """Inverse of ``to_document``, reading each field by its annotation with ``typed``.
 
     The document's ``kind``, when it has one, must be ``kind``, and every
     other key must be a field's key or one of ``extra_keys``: keys that
     ``to_document`` writes besides the fields, and legacy keys still read
-    and ignored.  An ``np.ndarray`` field is read as a complex array from
-    ``<name>_re_im`` and a bare ``tuple`` as ``(name, value)`` pairs.  A key
-    may be missing only when its field has a default.  A wrong kind, an
+    and ignored.  An ``np.ndarray`` field is read from ``<name>_re_im``.  A
+    key may be missing only when its field has a default.  A wrong kind, an
     unknown key and every exception that ``malformed`` maps, the class's
     own validation included, are raised as ``error``.
     """
@@ -128,7 +144,7 @@ def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
         for field in dataclasses.fields(cls):
             key = keys[field.name]
             if key in doc:
-                kwargs[field.name] = _coerce(hints[field.name], doc[key])
+                kwargs[field.name] = typed(hints[field.name], doc[key], key)
             elif field.default is dataclasses.MISSING:
                 raise KeyError(key)
         return cls(**kwargs)

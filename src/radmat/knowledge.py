@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .docio import malformed, read_document, to_document
+from .docio import malformed, read_document, to_document, typed
 from .errors import DocumentError, DomainError
 
 SIGMA_FLOOR = 0.1
@@ -113,13 +113,10 @@ class MaterialStore:
 def _record_from_entry(entry: dict) -> MaterialRecord:
     eps = entry["epsilon"]
     return MaterialRecord(
-        material_id=str(entry["id"]),
-        name=str(entry["name"]),
-        epsilon_mean=float(eps["mean"]),
-        epsilon_std=float(eps["std"]),
-        epsilon_low=float(eps["low"]),
-        epsilon_high=float(eps["high"]),
-        source=str(entry.get("source", "")),
+        material_id=typed(str, entry["id"], "id"),
+        name=typed(str, entry["name"], "name"),
+        **{f"epsilon_{k}": typed(float, eps[k], k) for k in ("mean", "std", "low", "high")},
+        source=typed(str, entry.get("source", ""), "source"),
     )
 
 

@@ -24,7 +24,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .docio import from_document, malformed, read_document
+from .docio import from_document, malformed, read_document, typed
 from .errors import DocumentError, DomainError, ProviderError
 from .fusion import VisualContext
 
@@ -74,10 +74,9 @@ def parse_response(body: dict) -> list:
     A malformed answer raises KeyError, TypeError or ValueError (DomainError
     for a well-formed list of wrong values).
     """
-    raw = body["candidates"]
-    if not isinstance(raw, list) or not raw:
+    pairs = typed(tuple, body["candidates"], "candidates")
+    if not pairs:
         raise DomainError("'candidates' must be a non-empty array")
-    pairs = [(str(name), float(prob)) for name, prob in raw]
     for name, prob in pairs:
         if not name:
             raise DomainError("candidate names must be non-empty")
@@ -152,12 +151,11 @@ def propose(query: VisualQuery, config: ProviderConfig) -> VisualContext:
     fetch = _fixture_answer if config.mode == "mock" else _http_answer
     answer = fetch(query, config)
     with malformed(ProviderError, f"invalid provider answer for '{query.image_ref}'"):
-        if not isinstance(answer, dict):
-            raise TypeError(f"answer is {type(answer).__name__}, not an object")
+        typed(dict, answer, "answer")
         ordered = tuple(sorted(parse_response(answer), key=lambda item: (-item[1], item[0])))
         return VisualContext(
-            luminance=float(answer.get("luminance", DEFAULT_SCALAR)),
-            complexity=float(answer.get("complexity", DEFAULT_SCALAR)),
+            luminance=typed(float, answer.get("luminance", DEFAULT_SCALAR), "luminance"),
+            complexity=typed(float, answer.get("complexity", DEFAULT_SCALAR), "complexity"),
             vlm_entropy=normalized_entropy(ordered),
             candidates=ordered,
         )

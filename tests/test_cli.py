@@ -133,6 +133,7 @@ class TestSimulate:
         "key, raw",
         [
             ("position_m", b"[0.0, null, 0.3]"),
+            ("position_m", b"[0.0, 1e400, 0.3]"),
             ("dielectric_constant", b"1e400"),
             ("facet_area_m2", b"NaN"),
             ("radial_velocity_m_s", b"-Infinity"),
@@ -141,13 +142,24 @@ class TestSimulate:
     def test_non_finite_target_exits_format(
         self, tmp_path, config, fixture_position, capsys, key, raw
     ):
-        # JSON reads null in a float array as NaN, and 1e400 as an infinity
+        # JSON reads 1e400 as an infinity; a null is no number at all
+        message = "position_m is None, not a number" if b"null" in raw else "must be finite"
         entry = {**plate_entry(fixture_position, 4.0), key: "value"}
         path = tmp_path / "scene.json"
         path.write_bytes(canonical_bytes(scene_doc(config, [entry])).replace(b'"value"', raw))
         assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
         err = capsys.readouterr().err
-        assert err.startswith("format: target 0: ") and "must be finite" in err
+        assert err.startswith("format: target 0: ") and message in err
+
+    def test_cube_beyond_float32_exits_format_and_writes_nothing(
+        self, tmp_path, config, fixture_position, capsys
+    ):
+        # the simulator holds these samples in float64, but the cube file's float32 cannot
+        path, out = tmp_path / "scene.json", tmp_path / "x.rcub"
+        write_document(path, scene_doc(config, [plate_entry(fixture_position, 4.0, area=1e300)]))
+        assert main(["simulate", str(path), "-o", str(out)]) == EXIT_FORMAT
+        assert "exceed the float32 range" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise_power_w", [math.nan, math.inf], ids=["NaN", "Infinity"])
     def test_non_finite_noise_power_exits_format(
@@ -777,16 +789,23 @@ class TestPipeline:
         code, _ = self._run(tmp_path, config, profile_path, str(provider), scene, "cup")
         assert code == EXIT_PROVIDER
 
-    @pytest.mark.parametrize("phasors", [[], {}], ids=["array", "object"])
+    @pytest.mark.parametrize(
+        "phasors, message",
+        [
+            ([], "phase phasors must be a non-empty 1-D array"),
+            ({}, "phase_phasors_re_im is {}, not an array"),
+        ],
+        ids=["array", "object"],
+    )
     def test_profile_without_phasors_exits_calibration(
-        self, tmp_path, config, fixture_position, profile, provider_path, capsys, phasors
+        self, tmp_path, config, fixture_position, profile, provider_path, capsys, phasors, message
     ):
         path = tmp_path / "profile.json"
         write_document(path, {**profile.to_document(), "phase_phasors_re_im": phasors})
         scene = _write_scene(tmp_path, config, fixture_position, 2.87)
         code, _ = self._run(tmp_path, config, str(path), provider_path, scene, "a5_cup")
         assert code == EXIT_CALIBRATION
-        assert "phase phasors must be a non-empty 1-D array" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_profile_with_nan_noise_power_exits_calibration(
         self, tmp_path, config, fixture_position, profile, provider_path, capsys

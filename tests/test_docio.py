@@ -1,10 +1,14 @@
-"""The dataclass document codec: defaults, coercion errors and pinned bytes."""
+"""The dataclass document codec: defaults, typing errors, round trips and pinned bytes."""
+
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radmat.calibration import CalibrationProfile
-from radmat.docio import canonical_bytes, malformed, read_document
+from radmat.dielectric import EmFeatureVector
+from radmat.docio import canonical_bytes, malformed, read_document, write_document
 from radmat.errors import CalibrationError, DocumentError, DomainError, ProviderError, SceneError
 from radmat.fusion import RadarContext, VisualContext
 from radmat.synthesis import SynthesisResult
@@ -97,6 +101,51 @@ class TestPinnedBytes:
             enhanced_snr_linear=40.5,
         )
         assert canonical_bytes(result.to_document()) == SYNTHESIS_BYTES
+
+
+def _decision_inputs():
+    """The visual and radar contexts of the b7 golden decision's inputs."""
+    inputs = read_document(Path(__file__).parent / "data" / "golden" / "b7_decision.json")["inputs"]
+    features = EmFeatureVector.from_document(inputs["features"])
+    radar = RadarContext(
+        snr_linear=features.snr_linear,
+        distance_m=features.range_m,
+        incidence_angle_rad=abs(features.angle_rad),
+        candidates=tuple(map(tuple, inputs["radar_candidates"]["candidates"])),
+    )
+    return VisualContext.from_document(inputs["visual_context"]), radar
+
+
+def _written_documents():
+    visual, radar = _decision_inputs()
+    return [
+        pytest.param(
+            # the record that extract_features writes for an SNR <= 0
+            EmFeatureVector(1.0, 0.0, 0.0, -math.inf, 0.5 * 0.25, 0.5, 0.25, 2.8, 0.25),
+            id="features-snr-minus-infinity",
+        ),
+        pytest.param(
+            CalibrationProfile(
+                sphere_rcs_m2=3.0,
+                sphere_range_m=1.0,
+                sphere_snr_linear=12500.0,
+                phase_phasors=np.array([1.0, 1j, -1.0]),
+                noise_power_w=2.0,
+            ),
+            id="profile-whole-floats-null-rho",
+        ),
+        pytest.param(visual, id="decision-visual-context"),
+        pytest.param(radar, id="decision-radar-context"),
+    ]
+
+
+class TestReadsWhatItWrites:
+    @pytest.mark.parametrize("written", _written_documents())
+    def test_round_trip(self, tmp_path, written):
+        path = tmp_path / "doc.json"
+        write_document(path, written.to_document())
+        read = type(written).from_document(read_document(path))
+        assert canonical_bytes(read.to_document()) == path.read_bytes()
 
 
 class TestDefaultsAndNulls:

@@ -1,6 +1,7 @@
 """A malformed outside document becomes an error class in one place:
 `docio.malformed`.  No other module catches the exceptions that a bad
-document raises while it is indexed, cast or validated."""
+document raises while it is indexed, typed or validated, and no reader
+of outside documents casts a value itself: `docio.typed` types them."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ DOCUMENT_EXCEPTIONS = {
     "KeyError", "TypeError", "ValueError", "OverflowError", "DomainError", "DocumentError",
     "JSONDecodeError",
 }
+# modules that read outside documents, and the casts that would type a value by another rule
+READERS = ("cube_io.py", "knowledge.py", "vlm.py")
+CASTS = {"float", "int", "str", "complex", "bool"}
 
 
 def _names(node):
@@ -37,5 +41,19 @@ def test_only_docio_maps_document_exceptions():
             if isinstance(handler, ast.ExceptHandler)
             for name in _names(handler.type)
             if name in DOCUMENT_EXCEPTIONS
+        ]
+    assert not offenders, offenders
+
+
+def test_only_docio_types_document_values():
+    offenders = []
+    for name in READERS:
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+        offenders += [
+            f"{name}:{call.lineno} calls {call.func.id}"
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in CASTS
         ]
     assert not offenders, offenders

@@ -6,11 +6,17 @@ document is then replaced by a value of the wrong type, or the document
 is written as bytes that are not UTF-8, and `main()` must return one of
 its exit codes.  A number is never substituted: a plausible-looking count
 (a scene's `chirps_per_frame` of 10^8, say) is valid and only expensive.
+
+Every value also meets the one typing rule of outside values: a number
+given as `true` or as a string, a count given a fractional value and a
+string given as a number each exit with the code of the document that
+holds it.
 """
 
 import contextlib
 import functools
 import io
+import operator
 import tempfile
 from pathlib import Path
 
@@ -33,6 +39,19 @@ NOISE_W = 1e-2
 WRONG_VALUES = (None, "x", [], [1], {})
 # every status main returns; argparse's usage status 2 is raised, not returned
 EXIT_CODES = {0, 3, 4, 5, 6, 7, 8, 9}
+# each document's exit code, and the documents that each command reads
+DOCUMENT_CODES = {
+    "scene.json": 4, "store.json": 4, "provider.json": 4, "fixture.json": 8,
+    "profile.json": 6, "features.json": 7, "visual.json": 7, "radar.json": 7,
+}
+READS = (
+    {"scene.json", "profile.json", "store.json", "provider.json", "fixture.json"},
+    {"features.json", "store.json"},
+    {"visual.json", "radar.json"},
+)
+COUNTS = {"samples_per_chirp", "chirps_per_frame", "element_count", "seed", "timeout_ms"}
+# keys that are read and ignored, so no value of theirs is refused
+IGNORED = {"version", "system_constant_k", "max_distance_m", "measured_epsilon", "max_in_flight"}
 
 
 @functools.cache
@@ -202,3 +221,27 @@ def test_one_wrong_value_exits_with_a_code(corruption):
     assert set(codes) <= EXIT_CODES, codes
     if path is None:
         assert 4 in codes, codes
+
+
+def wrong_types(value, key):
+    """Values of the wrong JSON type, or a fraction for a count, in place of ``value``."""
+    if type(value) in (int, float):
+        yield from (True, str(value))
+        if key in COUNTS:
+            yield value + 0.5
+    elif isinstance(value, str):
+        yield 1
+
+
+def test_wrong_value_type_exits_with_its_documents_code():
+    wrong = []
+    for name, document in base_documents().items():
+        for path in value_paths(document):
+            if path[-1] in IGNORED:
+                continue
+            for value in wrong_types(functools.reduce(operator.getitem, path, document), path[-1]):
+                codes = run_all({**base_documents(), name: replaced(document, path, value)}, {})
+                expected = [DOCUMENT_CODES[name] if name in reads else 0 for reads in READS]
+                if codes != expected:
+                    wrong.append((name, path, value, codes, expected))
+    assert not wrong, wrong

@@ -85,7 +85,8 @@ class TestMockProvider:
     @pytest.mark.parametrize(
         "entry, reason",
         [
-            pytest.param({"candidates": "glass"}, "non-empty array", id="string-candidates"),
+            pytest.param({"candidates": "glass"}, "not an array", id="string-candidates"),
+            pytest.param({"candidates": []}, "non-empty array", id="empty-candidates"),
             pytest.param({"candidates": [["glass"]]}, "unpack", id="short-pair"),
             pytest.param({"luminance": 0.5}, "missing key 'candidates'", id="no-candidates"),
         ],

@@ -49,8 +49,7 @@ class VisualContext:
         ):
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{label} must lie in [0, 1]")
-        check_candidates(self.candidates, "visual candidate")
-        object.__setattr__(self, "candidates", tuple(tuple(c) for c in self.candidates))
+        object.__setattr__(self, "candidates", check_candidates(self.candidates, "visual candidate"))
 
     def to_document(self) -> dict:
         return to_document(self, "visual_context")
@@ -75,8 +74,7 @@ class RadarContext:
             raise DomainError("distance must be positive")
         if not 0.0 <= self.incidence_angle_rad < math.pi / 2:
             raise DomainError("incidence angle must lie in [0, pi/2)")
-        check_candidates(self.candidates, "radar candidate")
-        object.__setattr__(self, "candidates", tuple(tuple(c) for c in self.candidates))
+        object.__setattr__(self, "candidates", check_candidates(self.candidates, "radar candidate"))
 
     def to_document(self) -> dict:
         return to_document(self, "radar_context")

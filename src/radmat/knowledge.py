@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .docio import malformed, read_document, to_document, typed
+from .docio import check_keys, malformed, read_document, to_document, typed
 from .errors import DocumentError, DomainError
 
 SIGMA_FLOOR = 0.1
 TOP_K = 3
 TOLERANCE_SIGMA = 2.0
+_EPSILON_KEYS = ("mean", "std", "low", "high")
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,8 @@ class MaterialRecord:
     source: str = ""
 
     def __post_init__(self):
+        if not self.name:
+            raise DomainError("material name must not be empty")
         if self.epsilon_low < 1.0:
             raise DomainError(f"{self.name}: interval low must be >= 1")
         if not self.epsilon_low <= self.epsilon_mean <= self.epsilon_high:
@@ -47,15 +50,16 @@ class MaterialRecord:
         return max(lo - epsilon, epsilon - hi, 0.0)
 
 
-def check_candidates(candidates, label: str) -> None:
-    """Raise DomainError unless ``candidates`` is a non-empty ((name, p), ...)
-    sequence of distinct names whose probabilities lie in [0, 1], sum to 1
-    and descend."""
+def check_candidates(candidates, label: str) -> tuple:
+    """``candidates`` as a tuple of (name, p) tuples; DomainError unless it is
+    a non-empty sequence of distinct non-empty names whose probabilities lie
+    in [0, 1], sum to 1 and descend."""
+    candidates = tuple((name, p) for name, p in candidates)
     if not candidates:
         raise DomainError(f"{label} list must not be empty")
     names = [name for name, _ in candidates]
-    if len(set(names)) != len(names):
-        raise DomainError(f"{label} names must be distinct")
+    if not all(names) or len(set(names)) != len(names):
+        raise DomainError(f"{label} names must be non-empty and distinct")
     probs = [p for _, p in candidates]
     if not all(0.0 <= p <= 1.0 for p in probs):
         raise DomainError(f"{label} probabilities must lie in [0, 1]")
@@ -63,6 +67,7 @@ def check_candidates(candidates, label: str) -> None:
         raise DomainError(f"{label} probabilities must sum to 1")
     if any(a < b - 1e-12 for a, b in zip(probs, probs[1:])):
         raise DomainError(f"{label}s must be ordered by descending probability")
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,13 @@ class MaterialStore:
 
 
 def _record_from_entry(entry: dict) -> MaterialRecord:
+    check_keys(entry, "material", ("id", "name", "epsilon", "source", "itu"))
     eps = entry["epsilon"]
+    check_keys(eps, "epsilon", _EPSILON_KEYS)
     return MaterialRecord(
         material_id=typed(str, entry["id"], "id"),
         name=typed(str, entry["name"], "name"),
-        **{f"epsilon_{k}": typed(float, eps[k], k) for k in ("mean", "std", "low", "high")},
+        **{f"epsilon_{k}": typed(float, eps[k], k) for k in _EPSILON_KEYS},
         source=typed(str, entry.get("source", ""), "source"),
     )
 
@@ -123,6 +130,7 @@ def _record_from_entry(entry: dict) -> MaterialRecord:
 def load_store(path) -> MaterialStore:
     doc = read_document(path)
     with malformed(DocumentError, f"{path}: malformed material store"):
+        check_keys(doc, "material_store", ("materials", "version", "frequency_ghz", "notes"))
         return MaterialStore(_record_from_entry(e) for e in doc["materials"])
 
 

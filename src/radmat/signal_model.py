@@ -20,7 +20,9 @@ recover (effective RCS = A_facet * r_p^2 * cos(psi)^(2*n_facet)).
 
 Array convention: boresight is +z, a uniform linear array lies along x.
 Per-antenna phases are two-way (4*pi/lambda), i.e. each element is
-treated as the phase center of its own round trip.
+treated as the phase center of its own round trip.  The array is ideal:
+per-antenna hardware phase errors are not simulated; multiplying a cube's
+antenna axis by exp(1j * offsets) models them.
 """
 
 import functools
@@ -207,24 +209,21 @@ def synthesize_frame(
     geometry: ArrayGeometry,
     noise_power_w: float,
     rng_seed: int,
-    *,
-    phase_offsets_rad=None,
 ) -> RadarCube:
     """Generate one frame of multi-antenna baseband echoes.
 
     Each target contributes a beat tone at beat_frequency(R), a per-chirp
     Doppler phase increment, and exact two-way per-antenna geometric
-    phases.  Back-facing facets contribute nothing.  `phase_offsets_rad`
-    injects per-antenna hardware phase errors (calibration fixtures).
-    Deterministic for a fixed seed.
+    phases.  Back-facing facets contribute nothing.  Deterministic for a
+    fixed seed.
 
     The antenna-major cube is the only cube-sized allocation.  Antenna
     plane a is built in place: from zero, add each facing target's
-    [chirp, fast] plane times its phasor at a, in scene order, then
-    apply a's phase offset.  The noise is drawn in [fast, chirp, antenna]
-    order, real parts first, in blocks of fast-time rows that are added
-    through a transposed view.  The bytes, signed zeros included, equal
-    those of the [fast, chirp, antenna] construction.
+    [chirp, fast] plane times its phasor at a, in scene order.  The noise
+    is drawn in [fast, chirp, antenna] order, real parts first, in blocks
+    of fast-time rows that are added through a transposed view.  The
+    bytes, signed zeros included, equal those of the [fast, chirp,
+    antenna] construction.
     """
     if not (math.isfinite(noise_power_w) and noise_power_w >= 0):
         raise DomainError(f"noise power must be finite and >= 0, not {noise_power_w}")
@@ -273,20 +272,12 @@ def synthesize_frame(
         ant = np.exp(-4j * np.pi * dists / lam)
         planes.append((amplitude * fast[None, :] * slow[:, None], ant))
 
-    if phase_offsets_rad is not None:
-        offsets = np.asarray(phase_offsets_rad, dtype=float)
-        if offsets.shape != (n_ant,):
-            raise DomainError("phase offsets must provide one value per antenna")
-        turns = np.exp(1j * offsets)
-
     cube = np.zeros((n_ant, n_chirp, n_fast), dtype=np.complex128)  # antenna-major
     product = np.empty((n_chirp, n_fast), dtype=np.complex128)
     for a in range(n_ant):
         for plane, ant in planes:
             np.multiply(plane, ant[a], out=product)
             cube[a] += product
-        if phase_offsets_rad is not None:
-            cube[a] *= turns[a]
 
     if noise_power_w > 0:
         rng = np.random.default_rng(rng_seed)

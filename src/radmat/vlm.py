@@ -8,10 +8,11 @@ entropy becomes the epistemic uncertainty term; luminance/complexity come
 from the answer (default 0.5 when it does not supply them).
 
 HTTP contract: POST {"prompt": PROMPT, "image_base64": ...} to the endpoint;
-the response must carry a "candidates" array of [name, probability]
+the answer is an object with a "candidates" array of [name, probability]
 pairs (renormalized when the sum is within 1 percent of one, rejected
-otherwise).  Auth tokens are only ever read from the environment
-variable named in the provider config.
+otherwise) and optionally "luminance" and "complexity"; any other key
+raises ProviderError (exit 8).  Auth tokens are only ever read from the
+environment variable named in the provider config.
 """
 
 import base64
@@ -24,7 +25,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .docio import from_document, malformed, read_document, typed
+from .docio import check_keys, from_document, malformed, read_document, typed
 from .errors import DocumentError, DomainError, ProviderError
 from .fusion import VisualContext
 
@@ -69,19 +70,14 @@ class ProviderConfig:
 
 
 def parse_response(body: dict) -> list:
-    """Validate an answer's candidates into a normalized (name, prob) list.
+    """An answer's candidates as a (name, prob) list renormalized to sum to 1.
 
     A malformed answer raises KeyError, TypeError or ValueError (DomainError
-    for a well-formed list of wrong values).
+    for an empty list or a sum off one by over 1 %; VisualContext checks the rest).
     """
     pairs = typed(tuple, body["candidates"], "candidates")
     if not pairs:
         raise DomainError("'candidates' must be a non-empty array")
-    for name, prob in pairs:
-        if not name:
-            raise DomainError("candidate names must be non-empty")
-        if prob < 0:
-            raise DomainError(f"negative probability for '{name}'")
     total = sum(p for _, p in pairs)
     if not 0.99 <= total <= 1.01:
         raise DomainError(f"candidate probabilities sum to {total}, outside [0.99, 1.01]")
@@ -151,7 +147,7 @@ def propose(query: VisualQuery, config: ProviderConfig) -> VisualContext:
     fetch = _fixture_answer if config.mode == "mock" else _http_answer
     answer = fetch(query, config)
     with malformed(ProviderError, f"invalid provider answer for '{query.image_ref}'"):
-        typed(dict, answer, "answer")
+        check_keys(answer, "provider_answer", ("candidates", "luminance", "complexity"))
         ordered = tuple(sorted(parse_response(answer), key=lambda item: (-item[1], item[0])))
         return VisualContext(
             luminance=typed(float, answer.get("luminance", DEFAULT_SCALAR), "luminance"),

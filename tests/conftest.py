@@ -66,6 +66,8 @@ class ProviderHandler(BaseHTTPRequestHandler):
             payload = json.dumps({"candidates": [["glass", 1.0]], "luminance": "bright"}).encode()
         elif self.behaviour == "array":
             payload = b"[]"
+        elif self.behaviour == "extra":
+            payload = json.dumps({"candidates": [["glass", 1.0]], "model": "v2"}).encode()
         else:
             payload = json.dumps(
                 {"candidates": [["glass", 0.6], ["plastic", 0.4]], "luminance": 0.65}
@@ -140,8 +142,8 @@ def make_sphere(position, diameter_m=SPHERE_DIAMETER_M):
 
 @pytest.fixture(scope="session")
 def frame_factory(config, geometry):
-    def build(targets, seed, noise_power_w=FIXTURE_NOISE_W, **kwargs):
-        return synthesize_frame(targets, config, geometry, noise_power_w, seed, **kwargs)
+    def build(targets, seed, noise_power_w=FIXTURE_NOISE_W):
+        return synthesize_frame(targets, config, geometry, noise_power_w, seed)
 
     return build
 

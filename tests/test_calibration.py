@@ -7,6 +7,7 @@ from radmat import (
     CalibrationError,
     ChirpConfig,
     DomainError,
+    RadarCube,
     SceneTarget,
     calibrate_plate,
     calibrate_sphere,
@@ -60,13 +61,10 @@ class TestCalibrateSphere:
     def test_phasors_align_sphere_signal(
         self, config, geometry, fixture_position, frame_factory, noise_power
     ):
-        from radmat.signal_model import synthesize_frame
-
-        offsets = np.linspace(0.3, -1.2, geometry.element_count)
-        cube = synthesize_frame(
-            [make_sphere(fixture_position)], config, geometry, 0.0, 43,
-            phase_offsets_rad=offsets,
-        )
+        # per-antenna hardware phase errors, applied to a noise-free cube
+        turns = np.exp(1j * np.linspace(0.3, -1.2, geometry.element_count))
+        clean = synthesize_frame([make_sphere(fixture_position)], config, geometry, 0.0, 43)
+        cube = RadarCube(clean.samples * turns, config, geometry)
         det = detect_target(range_doppler(cube), range_angle(cube), GATE_M)
         prof = calibrate_sphere(det, geometry, config, SPHERE_DIAMETER_M, noise_power)
         corrected = det.gated_signal * prof.phase_phasors

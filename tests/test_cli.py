@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import radmat
-from radmat import docio
 from radmat.calibration import CalibrationProfile, estimate_noise_power
 from radmat.cli import (
     EXIT_CALIBRATION,
@@ -30,11 +29,12 @@ from radmat.dielectric import EmFeatureVector
 from radmat.docio import canonical_bytes, check_keys, read_document, write_document
 from radmat.errors import RadmatError
 from radmat.fusion import RadarContext, VisualContext
+from radmat.knowledge import load_store
 from radmat.pipeline import calibrate_from_cubes, detect
 from radmat.signal_model import SceneTarget
 from radmat.spectral import range_angle_at_doppler, range_doppler
-from radmat.vlm import ProviderConfig
-from conftest import FIXTURE_NOISE_W, child_env, make_plate
+from radmat.vlm import ProviderConfig, VisualQuery, propose
+from conftest import FIXTURE_NOISE_W, ProviderHandler, child_env, make_plate
 
 try:  # numpy >= 2
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
@@ -481,6 +481,24 @@ class TestIdentify:
         argv = ["identify", str(features), "--store", str(store), "-o", str(tmp_path / "c.json")]
         assert main(argv) == EXIT_FORMAT
 
+    @pytest.mark.parametrize(
+        "level, unknown",
+        [("entry", "sorce"), ("epsilon", "median"), ("top", "frequency_hz")],
+    )
+    def test_store_with_unknown_key_exits_format(self, tmp_path, level, unknown, capsys):
+        doc = read_document(Path(radmat.__file__).parent / "data" / "default_store.json")
+        entry = doc["materials"][0]
+        if level == "entry":
+            entry[unknown] = entry.pop("source")
+        else:
+            (entry["epsilon"] if level == "epsilon" else doc)[unknown] = 1.0
+        features, store = tmp_path / "features.json", tmp_path / "store.json"
+        write_document(features, FEATURES)
+        write_document(store, doc)
+        argv = ["identify", str(features), "--store", str(store), "-o", str(tmp_path / "c.json")]
+        assert main(argv) == EXIT_FORMAT
+        assert f"unknown keys ['{unknown}']" in capsys.readouterr().err
+
     def test_plastic_reading(self, tmp_path, fixture_position, frame_factory, profile_path):
         cube_path = tmp_path / "plate.rcub"
         write_cube(cube_path, frame_factory([make_plate(fixture_position, 2.87)], seed=64))
@@ -585,6 +603,17 @@ class TestFuse:
         argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath),
                 "-o", str(tmp_path / "decision.json")]
         assert main(argv) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("context", ["visual", "radar"])
+    def test_empty_candidate_name_rejected(self, tmp_path, context, capsys):
+        vpath, rpath = _write_contexts(tmp_path)
+        path = vpath if context == "visual" else rpath
+        write_document(path, {**read_document(path), "candidates": [["", 0.6], ["glass", 0.4]]})
+        out = tmp_path / "decision.json"
+        argv = ["fuse", "--visual", str(vpath), "--radar", str(rpath), "-o", str(out)]
+        assert main(argv) == EXIT_DOMAIN
+        assert "names must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNonUtf8Documents:
@@ -770,6 +799,19 @@ class TestPipeline:
         visual = read_document(out)["inputs"]["visual_context"]
         assert visual["candidates"] == [["glass", 0.6], ["plastic", 0.4]]
 
+    def test_http_answer_with_unknown_key_exits_provider(
+        self, tmp_path, config, fixture_position, profile_path, http_server, capsys
+    ):
+        ProviderHandler.behaviour = "extra"
+        provider, image = tmp_path / "provider.json", tmp_path / "object.png"
+        write_document(provider, {"mode": "http", "endpoint_url": http_server})
+        image.write_bytes(b"\x89PNG fake image bytes")
+        scene = _write_scene(tmp_path, config, fixture_position, 2.87)
+        code, out = self._run(tmp_path, config, profile_path, str(provider), scene, str(image))
+        assert code == EXIT_PROVIDER
+        assert "unknown keys ['model']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "entry",
         [
@@ -777,6 +819,7 @@ class TestPipeline:
             pytest.param({"candidates": [["glass", 1.0]], "luminance": "bright"}, id="word"),
             pytest.param({"candidates": [["glass", 1.0]], "luminance": 1.5}, id="above-1"),
             pytest.param({"candidates": [["glass", 0.6], ["glass", 0.4]]}, id="repeated-name"),
+            pytest.param({"candidates": [["glass", 1.0]], "luminence": 0.05}, id="misspelt-key"),
         ],
     )
     def test_faulty_fixture_entry_exits_provider(
@@ -926,21 +969,36 @@ class TestSurface:
             "kind", "mode", "endpoint_url", "auth_token_env_name", "timeout_ms", "fixture_path",
             "max_in_flight",
         },
+        "provider_answer": {"kind", "candidates", "luminance", "complexity"},
+        "material_store": {"kind", "materials", "version", "frequency_ghz", "notes"},
+        "material": {"kind", "id", "name", "epsilon", "source", "itu"},
+        "epsilon": {"kind", "mean", "std", "low", "high"},
     }
 
-    def test_document_key_census(self, monkeypatch):
-        # every reader checks its keys through `check_keys`; record what each allows
+    def test_document_key_census(self, tmp_path, monkeypatch):
+        # every reader checks its keys through `check_keys`; record what each
+        # allows, through every module's binding of it
         accepted = {}
 
         def recording_check_keys(doc, kind, keys):
             accepted[kind] = {"kind", *keys}
             return check_keys(doc, kind, keys)
 
-        monkeypatch.setattr(docio, "check_keys", recording_check_keys)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("radmat") and getattr(module, "check_keys", None) is check_keys:
+                monkeypatch.setattr(module, "check_keys", recording_check_keys)
         readers = (
             CalibrationProfile, RadarContext, VisualContext, EmFeatureVector, ProviderConfig,
         )
         for reader in readers:
             with pytest.raises(RadmatError):
                 reader.from_document({})
+        # a store entry with an empty epsilon object reaches all three levels
+        store, fixtures = tmp_path / "store.json", tmp_path / "fixtures.json"
+        write_document(store, {"materials": [{"epsilon": {}}]})
+        with pytest.raises(RadmatError):
+            load_store(store)
+        write_document(fixtures, {"cup": {}})
+        with pytest.raises(RadmatError):
+            propose(VisualQuery("cup"), ProviderConfig(mode="mock", fixture_path=str(fixtures)))
         assert accepted == self.DOCUMENT_KEYS

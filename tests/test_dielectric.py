@@ -150,6 +150,31 @@ class TestExtractFeatures:
         assert sigma_change >= 0.5
         assert eps_change < 0.10
 
+    @pytest.mark.parametrize(
+        "azimuth_deg",
+        [
+            0.0,
+            *(
+                pytest.param(azimuth, marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 3: the chain does not invert the cos^4 "
+                    "facet falloff that the simulator applies off boresight",
+                ))
+                for azimuth in (10.0, 15.0, -15.0)
+            ),
+        ],
+    )
+    def test_facet_reads_its_epsilon_off_boresight(
+        self, fixture_range_m, frame_factory, profile, azimuth_deg
+    ):
+        # a -z facet of eps 5.1 at the calibration range reads 5.115 at 0 deg
+        # (+0.3 %), and 4.849, 4.551 and 4.552 at 10, 15 and -15 deg
+        azimuth = math.radians(azimuth_deg)
+        position = fixture_range_m * np.array([math.sin(azimuth), 0.0, math.cos(azimuth)])
+        cube = frame_factory([make_plate(position, 5.1)], seed=57)
+        features = extract_from_cube(cube, profile, GATE_M).features
+        assert features.dielectric_constant == pytest.approx(5.1, rel=0.01)
+
 
 class TestFeatureDocument:
     def test_round_trip(self, fixture_position, frame_factory, profile):

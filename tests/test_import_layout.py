@@ -1,7 +1,8 @@
 """Every module imports at its top: no import inside a function, and no
-`TYPE_CHECKING` block standing in for an import cycle.  Every dataclass
-has a docstring: without one, `dataclasses` builds `__doc__` from
-`inspect.signature` at import."""
+`TYPE_CHECKING` block standing in for an import cycle.  Every name a
+module other than `__init__` imports there is used in it, so a deletion
+leaves no dead import behind.  Every dataclass has a docstring: without
+one, `dataclasses` builds `__doc__` from `inspect.signature` at import."""
 
 import ast
 from pathlib import Path
@@ -27,6 +28,31 @@ def test_imports_sit_at_module_tops():
             in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
         ]
     assert not offenders, offenders
+
+
+def test_top_level_imports_are_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # the package root re-exports what it imports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.name}:{line} imports {name} unused"
+            for name, line in imported.items()
+            if name not in loaded
+        ]
+    assert not unused, unused
 
 
 def _is_dataclass_decorator(node) -> bool:

@@ -156,6 +156,18 @@ class TestLoadStore:
         with pytest.raises(DocumentError, match="duplicate"):
             load_store(path)
 
+    def test_empty_name_rejected(self, tmp_path):
+        # a record named "" could never stand in a candidate list
+        entry = {
+            "id": "M1",
+            "name": "",
+            "epsilon": {"mean": 5.0, "std": 0.2, "low": 4.0, "high": 6.0},
+        }
+        path = tmp_path / "store.json"
+        write_document(path, _store_doc([entry]))
+        with pytest.raises(DocumentError, match="name must not be empty"):
+            load_store(path)
+
     def test_empty_store_rejected(self, tmp_path):
         path = tmp_path / "store.json"
         write_document(path, _store_doc([]))

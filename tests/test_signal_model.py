@@ -159,12 +159,6 @@ class TestSynthesizeFrame:
         with pytest.raises(DomainError, match="noise power"):
             synthesize_frame([], config, geometry, noise_power_w, 1)
 
-    def test_phase_offsets_shape_checked(self, config, geometry):
-        with pytest.raises(DomainError):
-            synthesize_frame(
-                [], config, geometry, 0.0, 1, phase_offsets_rad=np.zeros(3)
-            )
-
     def test_back_facing_facet_contributes_nothing(self, config, geometry):
         away = make_plate([0.0, 0.0, 0.25], 4.0)
         away = type(away)(
@@ -182,7 +176,7 @@ class TestSynthesizeFrame:
         assert np.allclose(spacing, config.wavelength_m / 4.0)
 
 
-def _c_order_frame(scene, config, geometry, noise_power_w, rng_seed, phase_offsets_rad=None):
+def _c_order_frame(scene, config, geometry, noise_power_w, rng_seed):
     """Reference: the [fast, chirp, antenna] C-order construction of the samples."""
     n_fast, n_chirp = config.samples_per_chirp, config.chirps_per_frame
     lam = config.wavelength_m
@@ -207,8 +201,6 @@ def _c_order_frame(scene, config, geometry, noise_power_w, rng_seed, phase_offse
         )
         ant = np.exp(-4j * np.pi * np.linalg.norm(geometry.element_positions - v, axis=1) / lam)
         cube += amplitude * fast[:, None, None] * slow[None, :, None] * ant[None, None, :]
-    if phase_offsets_rad is not None:
-        cube *= np.exp(1j * np.asarray(phase_offsets_rad, dtype=float))[None, None, :]
     if noise_power_w > 0:
         rng = np.random.default_rng(rng_seed)
         scale = np.sqrt(noise_power_w / 2.0)
@@ -284,12 +276,14 @@ class TestAntennaMajorStorage:
         n_fast, n_chirp, n_ant = shape
         config = ChirpConfig(samples_per_chirp=n_fast, chirps_per_frame=n_chirp)
         geometry = default_geometry(config, element_count=n_ant)
-        phase_offsets = np.linspace(-2.0, 2.5, n_ant) if offsets else None
-        cube = synthesize_frame(
-            scene, config, geometry, noise_power_w, 5, phase_offsets_rad=phase_offsets
-        )
+        cube = synthesize_frame(scene, config, geometry, noise_power_w, 5)
+        reference = _c_order_frame(scene, config, geometry, noise_power_w, 5)
+        if offsets:
+            # hardware phase errors: a rotation of the cube's antenna axis
+            turns = np.exp(1j * np.linspace(-2.0, 2.5, n_ant))
+            cube = RadarCube(cube.samples * turns, config, geometry)
+            reference = reference * turns[None, None, :]
         assert _antenna_major(cube.samples)
-        reference = _c_order_frame(scene, config, geometry, noise_power_w, 5, phase_offsets)
         # bytes, not values: -0.0 and +0.0 compare equal as values
         assert cube.samples.tobytes() == reference.tobytes()
 

@@ -39,10 +39,6 @@ class TestParseResponse:
         with pytest.raises(DomainError):
             parse_response({"candidates": [["glass", 0.7], ["plastic", 0.5]]})
 
-    def test_rejects_negative_probability(self):
-        with pytest.raises(DomainError):
-            parse_response({"candidates": [["glass", 1.2], ["plastic", -0.2]]})
-
     def test_rejects_missing_candidates(self):
         with pytest.raises(KeyError):
             parse_response({"answer": "glass"})
@@ -89,6 +85,18 @@ class TestMockProvider:
             pytest.param({"candidates": []}, "non-empty array", id="empty-candidates"),
             pytest.param({"candidates": [["glass"]]}, "unpack", id="short-pair"),
             pytest.param({"luminance": 0.5}, "missing key 'candidates'", id="no-candidates"),
+            # a sum of 1 passes parse_response; VisualContext refuses the list
+            pytest.param(
+                {"candidates": [["glass", 1.2], ["plastic", -0.2]]},
+                r"must lie in \[0, 1\]",
+                id="negative-probability",
+            ),
+            pytest.param({"candidates": [["", 1.0]]}, "non-empty", id="empty-name"),
+            pytest.param(
+                {"candidates": [["glass", 1.0]], "luminence": 0.05},
+                r"unknown keys \['luminence'\]",
+                id="misspelt-key",
+            ),
         ],
     )
     def test_faulty_fixture_entry_is_provider_error(self, tmp_path, entry, reason):
@@ -145,7 +153,12 @@ class TestHttpProvider:
             propose(VisualQuery(image_file), cfg)
 
     @pytest.mark.parametrize(
-        "behaviour, reason", [("bright", "bright"), ("array", "not an object")]
+        "behaviour, reason",
+        [
+            ("bright", "bright"),
+            ("array", "not an object"),
+            pytest.param("extra", r"unknown keys \['model'\]", id="extra-unknown-key"),
+        ],
     )
     def test_faulty_answer_is_error(self, http_server, image_file, behaviour, reason):
         ProviderHandler.behaviour = behaviour

@@ -16,8 +16,10 @@ Cube format: a fixed 64-byte little-endian header
     60      4     zero padding
 
 followed by float32 (real, imag) pairs, fast-time fastest-varying, then
-chirp, then antenna.  That is `RadarCube`'s own antenna-major storage, so
-writing casts the samples as they lie and reading only widens them to
+chirp, then antenna: sample (a, m, n) is the pair at byte offset
+64 + 8 * ((a * chirps + m) * fast-time samples + n).  That is the
+[antenna, chirp, fast_time] order of `RadarCube.samples`, so writing
+casts the samples as they lie and reading only widens them to
 complex128, with no reordering.  Every malformed file, header or payload,
 and every cube that float32 cannot hold raises FormatError; every malformed
 scene document, whose values `docio.typed` reads, DocumentError.
@@ -58,9 +60,8 @@ def write_cube(path, cube: RadarCube) -> None:
         cfg.sample_rate_hz,
         cube.geometry.spacing_m,
     ).ljust(HEADER_SIZE, b"\x00")
-    # the cube's antenna-major storage is the payload order
     with np.errstate(over="ignore"):
-        data = cube.samples.transpose(2, 1, 0).astype(np.complex64)
+        data = cube.samples.astype(np.complex64)
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: samples exceed the float32 range")
     Path(path).write_bytes(header + data.tobytes())
@@ -83,8 +84,7 @@ def read_cube(path) -> RadarCube:
     with malformed(FormatError, f"{path}: invalid header values"):
         config = ChirpConfig(f0, bw, slope, fs, n_fast, n_chirp)
         geometry = ArrayGeometry(n_ant, spacing)
-    flat = np.frombuffer(raw, dtype="<c8", offset=HEADER_SIZE)
-    samples = flat.reshape(n_ant, n_chirp, n_fast).transpose(2, 1, 0)
+    samples = np.frombuffer(raw, dtype="<c8", offset=HEADER_SIZE).reshape(n_ant, n_chirp, n_fast)
     with malformed(FormatError, f"{path}: invalid payload"):
         return RadarCube(samples, config, geometry)  # widened to complex128 in one copy
 
@@ -123,7 +123,7 @@ def load_scene(path):
     """
     doc = read_document(path)
     with malformed(DocumentError, "scene"):
-        check_keys(doc, "scene", ("chirp", "array", "targets", "noise_power_w", "seed"))
+        check_keys(doc, "scene", ("kind", "chirp", "array", "targets", "noise_power_w", "seed"))
         config = chirp_config_from_document(doc["chirp"])
         geometry = geometry_from_document(doc["array"], config)
         targets = []

@@ -112,12 +112,13 @@ def typed(hint, value, name: str):
 
 def check_keys(doc: dict, kind: str, keys) -> None:
     """Raise TypeError for a ``doc`` that is not an object, and ValueError
-    for a ``kind`` other than ``kind``, when the document has one, or for a
-    key that is neither ``kind`` nor in ``keys``."""
+    for a key not in ``keys``.  A record may carry a ``kind`` key only where
+    its format defines one, by listing ``"kind"`` in ``keys``; its value
+    must then be ``kind``, which otherwise only names the record."""
     typed(dict, doc, kind)
-    if doc.get("kind", kind) != kind:
+    if "kind" in keys and doc.get("kind", kind) != kind:
         raise ValueError(f"kind {doc['kind']!r} is not {kind!r}")
-    unknown = set(doc) - {"kind", *keys}
+    unknown = set(doc) - set(keys)
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}")
 
@@ -139,7 +140,7 @@ def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
             field.name: f"{field.name}_re_im" if hints[field.name] is np.ndarray else field.name
             for field in dataclasses.fields(cls)
         }
-        check_keys(doc, kind, (*keys.values(), *extra_keys))
+        check_keys(doc, kind, ("kind", *keys.values(), *extra_keys))
         kwargs = {}
         for field in dataclasses.fields(cls):
             key = keys[field.name]

@@ -130,7 +130,8 @@ def _record_from_entry(entry: dict) -> MaterialRecord:
 def load_store(path) -> MaterialStore:
     doc = read_document(path)
     with malformed(DocumentError, f"{path}: malformed material store"):
-        check_keys(doc, "material_store", ("materials", "version", "frequency_ghz", "notes"))
+        keys = ("kind", "materials", "version", "frequency_ghz", "notes")
+        check_keys(doc, "material_store", keys)
         return MaterialStore(_record_from_entry(e) for e in doc["materials"])
 
 

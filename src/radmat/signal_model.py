@@ -3,7 +3,7 @@
 Beat-signal model for a point-like facet at position v with radial
 velocity V and relative dielectric constant eps_r:
 
-    x[n, m, j] = A * exp(j*(2*pi*f_b*n/f_s  -  4*pi*V*T_c*m/lambda
+    x[j, m, n] = A * exp(j*(2*pi*f_b*n/f_s  -  4*pi*V*T_c*m/lambda
                             -  4*pi*||p_j - v||/lambda))
 
     f_b = 2*R*S/c                      (dechirped beat frequency)
@@ -11,8 +11,10 @@ velocity V and relative dielectric constant eps_r:
 
 where psi is the angle between the facet normal and the line of sight,
 r_p the p-polarized Fresnel reflection coefficient, and T_c the chirp
-duration.  Circular complex white noise of a configured power is added
-from a mandatory seed, so frames are bit-reproducible.
+duration.  The indices are antenna j, chirp m and fast-time sample n, in
+the order of `RadarCube.samples`.  Circular complex white noise of a
+configured power is added from a mandatory seed, so frames are
+bit-reproducible.
 
 The synthesizer acts as the independent oracle for the processing chain:
 its amplitude law is the quantity the extraction pipeline is meant to
@@ -152,13 +154,11 @@ class SceneTarget:
 
 @dataclass(frozen=True)
 class RadarCube:
-    """Complex baseband samples shaped [fast_time, chirp, antenna].
+    """Complex baseband samples, a C-contiguous complex128 [antenna, chirp, fast_time] array.
 
-    Storage is antenna-major, the layout of a cube file: `samples` is
-    always a view whose `transpose(2, 1, 0)` is a C-contiguous
-    [antenna, chirp, fast_time] array, so each antenna's chirps are
-    contiguous rows.  Samples in any other layout are copied into it once,
-    here; antenna-major samples are kept without a copy.
+    That is the layout of a cube file, so each antenna's chirps are
+    contiguous rows.  Samples of any other layout or dtype are copied into
+    it once, here; samples already in it are kept without a copy.
     """
 
     samples: np.ndarray
@@ -166,18 +166,15 @@ class RadarCube:
     geometry: ArrayGeometry
 
     def __post_init__(self):
+        cfg = self.config
+        expected = (self.geometry.element_count, cfg.chirps_per_frame, cfg.samples_per_chirp)
         s = np.asarray(self.samples)
-        expected = (
-            self.config.samples_per_chirp,
-            self.config.chirps_per_frame,
-            self.geometry.element_count,
-        )
         if s.shape != expected:
             raise DomainError(f"cube shape {s.shape} does not match config {expected}")
-        by_antenna = np.ascontiguousarray(s.transpose(2, 1, 0), dtype=np.complex128)
-        if not np.all(np.isfinite(by_antenna)):
+        s = np.ascontiguousarray(s, dtype=np.complex128)
+        if not np.all(np.isfinite(s)):
             raise DomainError("cube contains non-finite samples")
-        object.__setattr__(self, "samples", by_antenna.transpose(2, 1, 0))
+        object.__setattr__(self, "samples", s)
 
 
 def beat_frequency(range_m: float, config: ChirpConfig) -> float:
@@ -217,13 +214,13 @@ def synthesize_frame(
     phases.  Back-facing facets contribute nothing.  Deterministic for a
     fixed seed.
 
-    The antenna-major cube is the only cube-sized allocation.  Antenna
-    plane a is built in place: from zero, add each facing target's
+    The [antenna, chirp, fast] cube is the only cube-sized allocation.
+    Antenna plane a is built in place: from zero, add each facing target's
     [chirp, fast] plane times its phasor at a, in scene order.  The noise
     is drawn in [fast, chirp, antenna] order, real parts first, in blocks
     of fast-time rows that are added through a transposed view.  The
-    bytes, signed zeros included, equal those of the [fast, chirp,
-    antenna] construction.
+    bytes, signed zeros included, equal those of the construction in
+    [fast, chirp, antenna] order, transposed.
     """
     if not (math.isfinite(noise_power_w) and noise_power_w >= 0):
         raise DomainError(f"noise power must be finite and >= 0, not {noise_power_w}")
@@ -272,7 +269,7 @@ def synthesize_frame(
         ant = np.exp(-4j * np.pi * dists / lam)
         planes.append((amplitude * fast[None, :] * slow[:, None], ant))
 
-    cube = np.zeros((n_ant, n_chirp, n_fast), dtype=np.complex128)  # antenna-major
+    cube = np.zeros((n_ant, n_chirp, n_fast), dtype=np.complex128)
     product = np.empty((n_chirp, n_fast), dtype=np.complex128)
     for a in range(n_ant):
         for plane, ant in planes:
@@ -293,4 +290,4 @@ def synthesize_frame(
                 turned = draw.T.reshape(n_chirp, n_ant, len(draw)).transpose(1, 0, 2)
                 part[:, :, start : start + len(draw)] += turned
 
-    return RadarCube(cube.transpose(2, 1, 0), config, geometry)
+    return RadarCube(cube, config, geometry)

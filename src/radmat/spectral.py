@@ -50,6 +50,17 @@ def _range_axis(cfg) -> tuple[int, float]:
     return n_fft_r, SPEED_OF_LIGHT * cfg.sample_rate_hz / (2.0 * cfg.slope_hz_per_s * n_fft_r)
 
 
+def _doppler_axis(cfg) -> tuple[int, float]:
+    """Zero-padded Doppler FFT size and the velocity width of one bin."""
+    n_fft_d = _next_pow2(cfg.chirps_per_frame)
+    return n_fft_d, cfg.wavelength_m / (2.0 * n_fft_d * cfg.chirp_duration_s)
+
+
+def _fft_bin(doppler_bin, n_fft_d: int):
+    """FFT bin of a map's Doppler bin (an int or an array): a shift by half the even size."""
+    return (doppler_bin + n_fft_d // 2) % n_fft_d
+
+
 @functools.lru_cache(maxsize=8)
 def _twiddles(n: int) -> np.ndarray:
     """exp(-2j*pi*m/n) for m = 0..n-1, n a power of two; built once per n, read-only.
@@ -108,36 +119,40 @@ def median(values: np.ndarray) -> float:
     """`np.median` of all of `values` (non-empty), to the byte, without `numpy.ma`.
 
     The first `np.median` of a process imports all of `numpy.ma` for its
-    NaN check.  This partitions at the ranks `np.median` does, the middle
-    one or two and the last, so ties and signed zeros land where they land
-    there, and averages the middle ones with the same `mean`.  A NaN sorts
-    last, so any NaN makes the result that last value, as in `np.median`.
+    NaN check.  Without a NaN, one partition at the upper middle rank
+    places both middle values: the lower one of an even size is the
+    largest value below it.  They are averaged with the same `mean` as in
+    `np.median`, which adds +0.0 to them, so the sign of a zero in a tie
+    does not show.  A NaN sorts last, and `np.median` returns the last
+    value of its partition; with a NaN present this partitions at
+    `np.median`'s ranks, the middle one or two and the last, so that it
+    returns the same NaN.
     """
     size = np.size(values)
     half = size // 2
     middle = [half] if size % 2 else [half - 1, half]
     # axis=None partitions one flattened copy, as `np.median` does
-    part = np.partition(values, middle + [-1], axis=None)
-    if np.isnan(part[-1]):
-        return float(part[-1])
+    if np.isnan(values).any():
+        return float(np.partition(values, middle + [-1], axis=None)[-1])
+    part = np.partition(values, half, axis=None)
+    if size % 2 == 0:
+        part[half - 1] = part[:half].max()
     return float(part[middle[0] : half + 1].mean())
 
 
 @dataclass(frozen=True)
 class RangeDopplerMap:
-    """Antenna-accumulated magnitude map plus per-antenna complex spectra.
+    """Per-antenna complex spectra, [antenna, range row, Doppler bin], and their antenna sum.
 
-    A gated map holds only some range rows: row i of its arrays is range
-    bin `first_range_bin + i` of the full map, which has `full_range_bins`
+    A gated map holds only some range rows: range row i is range bin
+    `first_range_bin + i` of the full map, which has `full_range_bins`
     rows.  A full map has `first_range_bin` 0.
     """
 
     magnitudes: np.ndarray  # [range rows, doppler_bins]
     range_bin_m: float
     velocity_bin_m_s: float
-    # [range rows, doppler_bins, antennas], complex: a transposed view over
-    # antenna-major [antennas, range rows, doppler_bins] memory
-    per_antenna: np.ndarray
+    per_antenna: np.ndarray  # [antennas, range rows, doppler_bins], complex, C-contiguous
     first_range_bin: int
     full_range_bins: int
     cube: RadarCube  # the samples, for the cell readout of `detect_target`
@@ -148,6 +163,7 @@ class RangeDopplerMap:
 
     @property
     def zero_doppler_bin(self) -> int:
+        """The map bin whose `_fft_bin` is FFT bin 0."""
         return self.magnitudes.shape[1] // 2
 
     def to_document(self) -> dict:
@@ -225,14 +241,13 @@ def _range_rows(cube: RadarCube, lo: int, hi: int, n_fft_r: int):
     chirps copied into one zero-padded block.
     """
     cfg = cube.config
-    by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
     if hi - lo < DFT_CROSSOVER_ROWS:
         block = _dft_block(cfg.samples_per_chirp, n_fft_r, lo, hi)
-        rows = by_antenna.reshape(-1, cfg.samples_per_chirp) @ block
-        yield rows.reshape(by_antenna.shape[0], cfg.chirps_per_frame, hi - lo)
+        rows = cube.samples.reshape(-1, cfg.samples_per_chirp) @ block
+        yield rows.reshape(cube.geometry.element_count, cfg.chirps_per_frame, hi - lo)
         return
     chirps = np.zeros((1, cfg.chirps_per_frame, n_fft_r), dtype=complex)  # zero-padded
-    for samples in by_antenna:
+    for samples in cube.samples:
         chirps[0, :, : cfg.samples_per_chirp] = samples
         yield np.fft.fft(chirps, axis=2)[:, :, lo:hi]
 
@@ -250,8 +265,8 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     run on the held rows alone, once per antenna block of `_range_rows`
     (all antennas of a gated map, one antenna of a wide one), along the
     last axis of the block's contiguous [antenna, range, chirp]
-    transpose.  The twiddle table and a gate's DFT block are built once
-    per frame shape.
+    transpose, into `per_antenna`.  The twiddle table and a gate's DFT
+    block are built once per frame shape.
     """
     cfg = cube.config
     if cfg.chirps_per_frame < 2:
@@ -261,21 +276,17 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     if gate_m is not None:
         lo, hi = _gate_rows(gate_m, range_bin_m, n_fft_r)
         lo, hi = max(lo - PRCA_MARGIN_ROWS, 0), min(hi + PRCA_MARGIN_ROWS, n_fft_r)
-    n_fft_d = _next_pow2(cfg.chirps_per_frame)
-    half = n_fft_d // 2  # n_fft_d is even, so fftshift swaps two equal halves
+    n_fft_d, velocity_bin_m_s = _doppler_axis(cfg)
+    fft_bins = _fft_bin(np.arange(n_fft_d), n_fft_d)  # the FFT bin of each map bin
     spectra = np.empty((cube.geometry.element_count, hi - lo, n_fft_d), dtype=complex)
     first = 0
     for by_range in _range_rows(cube, lo, hi, n_fft_r):
         block = spectra[first : first + by_range.shape[0]]
         first += by_range.shape[0]
         doppler = np.fft.fft(np.ascontiguousarray(by_range.transpose(0, 2, 1)), n=n_fft_d, axis=2)
-        block[:, :, :half] = doppler[:, :, half:]
-        block[:, :, half:] = doppler[:, :, :half]
+        block[...] = doppler[:, :, fft_bins]
     magnitudes = np.abs(spectra).sum(axis=0)
-    velocity_bin_m_s = cfg.wavelength_m / (2.0 * n_fft_d * cfg.chirp_duration_s)
-    return RangeDopplerMap(
-        magnitudes, range_bin_m, velocity_bin_m_s, spectra.transpose(1, 2, 0), lo, n_fft_r, cube
-    )
+    return RangeDopplerMap(magnitudes, range_bin_m, velocity_bin_m_s, spectra, lo, n_fft_r, cube)
 
 
 def _cell_signal(cube: RadarCube, range_bin: int, doppler_bin: int) -> np.ndarray:
@@ -288,11 +299,10 @@ def _cell_signal(cube: RadarCube, range_bin: int, doppler_bin: int) -> np.ndarra
     """
     cfg = cube.config
     n_fft_r = _range_axis(cfg)[0]
-    n_fft_d = _next_pow2(cfg.chirps_per_frame)
+    n_fft_d = _doppler_axis(cfg)[0]
     twiddles = _twiddles(n_fft_r)[np.arange(cfg.samples_per_chirp) * range_bin % n_fft_r]
-    by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
-    by_chirp = np.einsum("acn,n->ac", by_antenna, twiddles, optimize=False)
-    return np.fft.fft(by_chirp, n=n_fft_d, axis=1)[:, (doppler_bin + n_fft_d // 2) % n_fft_d]
+    by_chirp = np.einsum("acn,n->ac", cube.samples, twiddles, optimize=False)
+    return np.fft.fft(by_chirp, n=n_fft_d, axis=1)[:, _fft_bin(doppler_bin, n_fft_d)]
 
 
 def steering_matrix(geometry: ArrayGeometry, wavelength_m: float, angle_grid_rad) -> np.ndarray:
@@ -317,15 +327,14 @@ def range_angle(cube: RadarCube) -> RangeAngleMap:
 
     The full static map, which no chain path reads: the reference that
     `range_angle_at_doppler` is tested against.  The FFT is linear, so the
-    chirps are averaged first, over the contiguous rows of the cube's
-    antenna-major storage, into a zero-padded [antenna, range] block that
-    is range-FFT'd along its last axis.
+    chirps are averaged first, over each antenna's contiguous chirp rows,
+    into a zero-padded [antenna, range] block that is range-FFT'd along
+    its last axis.
     """
     cfg = cube.config
     n_fft_r, range_bin_m = _range_axis(cfg)
-    by_antenna = cube.samples.transpose(2, 1, 0)  # contiguous [antenna, chirp, fast]
     chirp_mean = np.zeros((cube.geometry.element_count, n_fft_r), dtype=complex)
-    np.mean(by_antenna, axis=1, out=chirp_mean[:, : cfg.samples_per_chirp])
+    np.mean(cube.samples, axis=1, out=chirp_mean[:, : cfg.samples_per_chirp])
     spectra = np.fft.fft(chirp_mean, axis=1)  # (N, R)
     weights = _default_weights(cube.geometry, cfg.wavelength_m)
     magnitudes = np.abs(spectra.T @ weights)
@@ -335,7 +344,7 @@ def range_angle(cube: RadarCube) -> RangeAngleMap:
 def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAngleMap:
     """Beamform the map's held rows at one (shifted) Doppler bin.
 
-    |per_antenna[:, doppler_bin, :] @ W| / chirps_per_frame over
+    |per_antenna[:, :, doppler_bin].T @ W| / chirps_per_frame over
     `DEFAULT_ANGLE_GRID_RAD`, holding the same rows as `rd_map`.  The
     zero-Doppler bin is the chirp sum, so for a static scene this is
     `range_angle`'s chirp-mean map over those rows, to rounding; a moving
@@ -343,7 +352,7 @@ def range_angle_at_doppler(rd_map: RangeDopplerMap, doppler_bin: int) -> RangeAn
     """
     cube, cfg = rd_map.cube, rd_map.cube.config
     weights = _default_weights(cube.geometry, cfg.wavelength_m)
-    beams = rd_map.per_antenna[:, doppler_bin, :] @ weights
+    beams = rd_map.per_antenna[:, :, doppler_bin].T @ weights
     return RangeAngleMap(
         np.abs(beams) / cfg.chirps_per_frame,
         rd_map.range_bin_m,

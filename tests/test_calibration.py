@@ -64,7 +64,7 @@ class TestCalibrateSphere:
         # per-antenna hardware phase errors, applied to a noise-free cube
         turns = np.exp(1j * np.linspace(0.3, -1.2, geometry.element_count))
         clean = synthesize_frame([make_sphere(fixture_position)], config, geometry, 0.0, 43)
-        cube = RadarCube(clean.samples * turns, config, geometry)
+        cube = RadarCube(clean.samples * turns[:, None, None], config, geometry)
         det = detect_target(range_doppler(cube), range_angle(cube), GATE_M)
         prof = calibrate_sphere(det, geometry, config, SPHERE_DIAMETER_M, noise_power)
         corrected = det.gated_signal * prof.phase_phasors
@@ -182,7 +182,7 @@ class TestOneRangeTransform:
         monkeypatch.setattr(pipeline, "range_angle", full_map, raising=False)
         profile = build_profile(fixture_position, frame_factory, noise_power, FIXTURE_NOISE_W)
         cube = frame_factory([make_plate(fixture_position, 4.0)], seed=71)
-        assert cube.samples.shape == (600, 64, 8)
+        assert cube.samples.shape == (8, 64, 600)
         features = extract_from_cube(cube, profile, GATE_M).features
         assert abs(features.dielectric_constant - 4.0) / 4.0 < 0.10
 

@@ -202,6 +202,34 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", ["chirp", "array", "target 0"])
+    def test_nested_record_with_a_kind_exits_format(
+        self, tmp_path, config, fixture_position, capsys, section
+    ):
+        # only a scene's top level defines a kind
+        doc = scene_doc(config, [plate_entry(fixture_position, 4.0)])
+        parts = {"chirp": doc["chirp"], "array": doc["array"], "target 0": doc["targets"][0]}
+        parts[section]["kind"] = section.split()[0]
+        path = tmp_path / "scene.json"
+        write_document(path, doc)
+        assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith(f"format: {section}: unknown keys ['kind']")
+
+    @pytest.mark.parametrize(
+        "kind, code", [("scene", EXIT_OK), ("material_store", EXIT_FORMAT)], ids=["own", "other"]
+    )
+    def test_scene_may_name_its_own_kind(
+        self, tmp_path, config, fixture_position, capsys, kind, code
+    ):
+        # a scene is a top-level document, and like every other one it may
+        # carry a `kind` that names its own format
+        doc = {**scene_doc(config, [plate_entry(fixture_position, 4.0)]), "kind": kind}
+        path = tmp_path / "scene.json"
+        write_document(path, doc)
+        assert main(["simulate", str(path), "-o", str(tmp_path / "x.rcub")]) == code
+        if code == EXIT_FORMAT:
+            assert "format: scene: kind 'material_store' is not 'scene'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key", [("scene", "seed"), ("chirp", "samples_per_chirp")])
     def test_infinite_count_exits_format(
         self, tmp_path, config, fixture_position, capsys, section, key
@@ -498,6 +526,20 @@ class TestIdentify:
         argv = ["identify", str(features), "--store", str(store), "-o", str(tmp_path / "c.json")]
         assert main(argv) == EXIT_FORMAT
         assert f"unknown keys ['{unknown}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level, kind", [("entry", "material"), ("epsilon", "epsilon")])
+    def test_store_record_with_a_kind_exits_format(self, tmp_path, level, kind, capsys):
+        # only the store's top level defines a kind; its entries and their
+        # epsilon objects refuse one like any other unknown key
+        doc = read_document(Path(radmat.__file__).parent / "data" / "default_store.json")
+        entry = doc["materials"][0]
+        (entry if level == "entry" else entry["epsilon"])["kind"] = kind
+        features, store = tmp_path / "features.json", tmp_path / "store.json"
+        write_document(features, FEATURES)
+        write_document(store, doc)
+        argv = ["identify", str(features), "--store", str(store), "-o", str(tmp_path / "c.json")]
+        assert main(argv) == EXIT_FORMAT
+        assert "unknown keys ['kind']" in capsys.readouterr().err
 
     def test_plastic_reading(self, tmp_path, fixture_position, frame_factory, profile_path):
         cube_path = tmp_path / "plate.rcub"
@@ -820,6 +862,10 @@ class TestPipeline:
             pytest.param({"candidates": [["glass", 1.0]], "luminance": 1.5}, id="above-1"),
             pytest.param({"candidates": [["glass", 0.6], ["glass", 0.4]]}, id="repeated-name"),
             pytest.param({"candidates": [["glass", 1.0]], "luminence": 0.05}, id="misspelt-key"),
+            # an answer's format defines no kind, so a `kind` key is unknown
+            pytest.param(
+                {"candidates": [["glass", 1.0]], "kind": "provider_answer"}, id="kind-key"
+            ),
         ],
     )
     def test_faulty_fixture_entry_exits_provider(
@@ -969,10 +1015,10 @@ class TestSurface:
             "kind", "mode", "endpoint_url", "auth_token_env_name", "timeout_ms", "fixture_path",
             "max_in_flight",
         },
-        "provider_answer": {"kind", "candidates", "luminance", "complexity"},
+        "provider_answer": {"candidates", "luminance", "complexity"},
         "material_store": {"kind", "materials", "version", "frequency_ghz", "notes"},
-        "material": {"kind", "id", "name", "epsilon", "source", "itu"},
-        "epsilon": {"kind", "mean", "std", "low", "high"},
+        "material": {"id", "name", "epsilon", "source", "itu"},
+        "epsilon": {"mean", "std", "low", "high"},
     }
 
     def test_document_key_census(self, tmp_path, monkeypatch):
@@ -981,7 +1027,7 @@ class TestSurface:
         accepted = {}
 
         def recording_check_keys(doc, kind, keys):
-            accepted[kind] = {"kind", *keys}
+            accepted[kind] = set(keys)
             return check_keys(doc, kind, keys)
 
         for name, module in list(sys.modules.items()):

@@ -12,6 +12,7 @@ from radmat import (
     ArrayGeometry,
     ChirpConfig,
     FormatError,
+    RadarCube,
     SceneTarget,
     default_geometry,
     synthesize_frame,
@@ -57,6 +58,54 @@ def test_round_trip_rebuilds_ula_positions_exactly(tmp_path, carrier_hz):
             assert np.array_equal(
                 loaded.element_positions, geometry.element_positions
             ), (fraction, count)
+
+
+# 2 antennas x 3 chirps x 4 fast-time samples; sample (a, m, n) holds
+# 100a + 10m + n + 1 in its real part and its negation in its imaginary part
+_ORDER_CONFIG = ChirpConfig(samples_per_chirp=4, chirps_per_frame=3)
+_ORDER_GEOMETRY = default_geometry(_ORDER_CONFIG, 2)
+_ORDER_INDICES = list(itertools.product(range(2), range(3), range(4)))
+
+
+def _order_code(a, m, n) -> float:
+    return 100.0 * a + 10.0 * m + n + 1.0
+
+
+def _payload_offset(a, m, n) -> int:
+    # the cube_io docstring: 64 + 8 * ((a * chirps + m) * fast-time samples + n)
+    return 64 + 8 * ((a * 3 + m) * 4 + n)
+
+
+def test_payload_order_written_as_documented(tmp_path):
+    samples = np.zeros((2, 3, 4), complex)
+    for a, m, n in _ORDER_INDICES:
+        samples[a, m, n] = complex(_order_code(a, m, n), -_order_code(a, m, n))
+    path = tmp_path / "order.rcub"
+    write_cube(path, RadarCube(samples, _ORDER_CONFIG, _ORDER_GEOMETRY))
+    raw = path.read_bytes()
+    assert len(raw) == 64 + 8 * len(_ORDER_INDICES)
+    for a, m, n in _ORDER_INDICES:
+        pair = struct.unpack_from("<ff", raw, _payload_offset(a, m, n))
+        assert pair == (_order_code(a, m, n), -_order_code(a, m, n)), (a, m, n)
+
+
+def test_hand_packed_payload_read_in_documented_order(tmp_path):
+    cfg = _ORDER_CONFIG
+    header = struct.pack(
+        "<4sIIIIddddd", b"RCUB", 1, 4, 3, 2, cfg.carrier_frequency_hz, cfg.bandwidth_hz,
+        cfg.slope_hz_per_s, cfg.sample_rate_hz, _ORDER_GEOMETRY.spacing_m,
+    ).ljust(64, b"\x00")
+    payload = bytearray(8 * len(_ORDER_INDICES))
+    for a, m, n in _ORDER_INDICES:
+        code = _order_code(a, m, n)
+        struct.pack_into("<ff", payload, _payload_offset(a, m, n) - 64, code, -code)
+    path = tmp_path / "packed.rcub"
+    path.write_bytes(header + bytes(payload))
+    cube = read_cube(path)
+    assert (cube.config, cube.geometry) == (cfg, _ORDER_GEOMETRY)
+    for a, m, n in _ORDER_INDICES:
+        code = _order_code(a, m, n)
+        assert cube.samples[a, m, n] == complex(code, -code), (a, m, n)
 
 
 def test_magic_bytes_present(tmp_path, sample_cube):

@@ -8,7 +8,7 @@ import pytest
 
 from radmat.calibration import CalibrationProfile
 from radmat.dielectric import EmFeatureVector
-from radmat.docio import canonical_bytes, malformed, read_document, write_document
+from radmat.docio import canonical_bytes, check_keys, malformed, read_document, write_document
 from radmat.errors import CalibrationError, DocumentError, DomainError, ProviderError, SceneError
 from radmat.fusion import RadarContext, VisualContext
 from radmat.synthesis import SynthesisResult
@@ -210,6 +210,18 @@ class TestWrongDocuments:
             ProviderConfig.from_document(
                 {"mode": "mock", "fixture_path": "fixtures.json", "max_in_fligth": 4}
             )
+
+
+class TestCheckKeys:
+    def test_kind_admitted_only_where_the_format_lists_it(self):
+        check_keys({"kind": "record", "x": 1}, "record", ("kind", "x"))
+        check_keys({"x": 1}, "record", ("kind", "x"))
+        with pytest.raises(ValueError, match="kind 'other' is not 'record'"):
+            check_keys({"kind": "other", "x": 1}, "record", ("kind", "x"))
+        # without "kind" among the keys the label only names the record
+        for kind in ("record", "other"):
+            with pytest.raises(ValueError, match=r"unknown keys \['kind'\]"):
+                check_keys({"kind": kind, "x": 1}, "record", ("x",))
 
 
 class TestMalformed:

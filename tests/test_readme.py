@@ -50,4 +50,4 @@ def test_readme_scene_loads_and_simulates(tmp_path, array):
     # the documented default spacing is a quarter wavelength
     assert geometry == ArrayGeometry(8, array.get("spacing_m", config.wavelength_m / 4.0))
     cube = synthesize_frame(targets, config, geometry, noise, seed)
-    assert cube.samples.shape == (config.samples_per_chirp, config.chirps_per_frame, 8)
+    assert cube.samples.shape == (8, config.chirps_per_frame, config.samples_per_chirp)

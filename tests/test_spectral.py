@@ -87,11 +87,11 @@ def _assert_rows_match(gated, full, lo, hi):
     when both come from the padded FFT, within 1e-12 of the map peak when
     the gated rows come from the direct DFT."""
     if hi - lo >= DFT_CROSSOVER_ROWS:
-        np.testing.assert_array_equal(gated.per_antenna, full.per_antenna[lo:hi])
+        np.testing.assert_array_equal(gated.per_antenna, full.per_antenna[:, lo:hi])
         np.testing.assert_array_equal(gated.magnitudes, full.magnitudes[lo:hi])
     else:
         bound = 1e-12 * np.max(full.magnitudes)
-        assert np.max(np.abs(gated.per_antenna - full.per_antenna[lo:hi])) <= bound
+        assert np.max(np.abs(gated.per_antenna - full.per_antenna[:, lo:hi])) <= bound
         assert np.max(np.abs(gated.magnitudes - full.magnitudes[lo:hi])) <= bound
 
 
@@ -125,10 +125,13 @@ class TestRangeDoppler:
         if via_file:
             write_cube(tmp_path / "frame.rcub", cube)
             cube = read_cube(tmp_path / "frame.rcub")
-            assert cube.samples.transpose(2, 1, 0).flags.c_contiguous  # antenna-major
-        spectra, magnitudes = _whole_cube_range_doppler(cube.samples)
+            assert cube.samples.flags.c_contiguous
+        # the [fast, chirp, antenna] reference, turned to [antenna, range, Doppler]
+        spectra, magnitudes = _whole_cube_range_doppler(cube.samples.transpose(2, 1, 0))
+        spectra = spectra.transpose(2, 0, 1)
         rd = range_doppler(cube)
         assert rd.per_antenna.shape == spectra.shape
+        assert rd.per_antenna.flags.c_contiguous
         np.testing.assert_array_equal(rd.per_antenna, spectra)
         # only the order of the sum over antennas differs: with 8 or more
         # antennas numpy's pairwise sum rounds differently, so single cells
@@ -176,7 +179,7 @@ class TestRangeDoppler:
 
         tiny = replace(config, chirps_per_frame=1)
         cube = RadarCube(
-            np.zeros((config.samples_per_chirp, 1, geometry.element_count), complex),
+            np.zeros((geometry.element_count, 1, config.samples_per_chirp), complex),
             tiny,
             geometry,
         )
@@ -241,7 +244,7 @@ class TestRangeAngle:
         cube = frame_factory(targets, seed=21)
         ra = range_angle(cube)
         n_fft = 1 << (cube.config.samples_per_chirp - 1).bit_length()
-        spectra = np.fft.fft(cube.samples, n_fft, axis=0).mean(axis=1)
+        spectra = np.fft.fft(cube.samples.transpose(2, 1, 0), n_fft, axis=0).mean(axis=1)
         weights = steering_matrix(cube.geometry, cube.config.wavelength_m, ra.angle_grid_rad)
         reference = np.abs(spectra @ weights)
         assert ra.magnitudes.shape == reference.shape
@@ -270,7 +273,7 @@ class TestRangeAngle:
         ra = range_angle(cube)
         # reference: the chirp mean of [fast, chirp, antenna] C-ordered samples,
         # range-FFT'd along axis 0 with n= padding
-        samples = np.ascontiguousarray(cube.samples)
+        samples = np.ascontiguousarray(cube.samples.transpose(2, 1, 0))
         n_fft = 1 << (n_fast - 1).bit_length()
         weights = steering_matrix(cube.geometry, cube.config.wavelength_m, ra.angle_grid_rad)
         reference = np.abs(np.fft.fft(samples.mean(axis=1), n_fft, axis=0) @ weights)
@@ -487,7 +490,7 @@ class TestGatedMap:
         full = range_doppler(cube)
         det = detect_target(full, range_angle(cube), GATE_M)
         assert (det.doppler_bin == full.zero_doppler_bin) == (velocity == 0.0)
-        cell = full.per_antenna[det.range_bin, det.doppler_bin]
+        cell = full.per_antenna[:, det.range_bin, det.doppler_bin]
         assert np.max(np.abs(det.gated_signal - cell)) <= 1e-12 * np.max(np.abs(cell))
 
     def test_out_of_gate_plate(self, config, geometry):
@@ -652,6 +655,25 @@ class TestMedian:
         values[index] = data.draw(st.sampled_from(NANS))
         assert math.isnan(median(values))
         assert _median_bytes(median, values) == _median_bytes(np.median, values)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_ties_zeros_and_nan_payloads(self, seed):
+        # values drawn from a few edges tie at the middle ranks, often as
+        # zeros of both signs; the long sizes reach the selection paths
+        # that only long arrays take
+        rng = np.random.default_rng(seed)
+        nans = np.array(NANS)
+        for size in (1, 2, 3, 16, 17, 1000, 1001, 65536, 65537):
+            pool = rng.choice(np.array(MEDIAN_EDGES), rng.integers(1, len(MEDIAN_EDGES) + 1))
+            values = rng.choice(pool, size)
+            assert _median_bytes(median, values) == _median_bytes(np.median, values), size
+            values[rng.integers(size, size=3)] = rng.choice(nans, 3)
+            assert _median_bytes(median, values) == _median_bytes(np.median, values), size
+        # distinct values of an even size: a partition at the upper middle
+        # rank only sometimes leaves the lower middle value next to it
+        for _ in range(50):
+            values = rng.standard_normal(2 * int(rng.integers(125, 1500)))
+            assert _median_bytes(median, values) == _median_bytes(np.median, values)
 
     def test_even_size_averages_the_middle_pair(self):
         assert median(np.array([[4.0, 1.0], [3.0, 2.0]])) == 2.5

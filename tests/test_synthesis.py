@@ -42,14 +42,14 @@ class TestFocus:
         # per-antenna hardware phase errors, applied to noise-free cubes
         turns = np.exp(1j * np.linspace(-0.8, 1.1, geometry.element_count))
         cube = synthesize_frame([make_sphere(fixture_position)], config, geometry, 0.0, 31)
-        sphere_cube = RadarCube(cube.samples * turns, config, geometry)
+        sphere_cube = RadarCube(cube.samples * turns[:, None, None], config, geometry)
         det = detect_target(range_doppler(sphere_cube), range_angle(sphere_cube), GATE_M)
         prof = calibrate_sphere(det, geometry, config, 0.063, noise_power)
         # the phasors absorb the offsets (and any offset-induced voxel
         # shift), so focusing a plate with the same hardware errors is as
         # clean as with none
         cube = synthesize_frame([make_plate(fixture_position, 4.0)], config, geometry, 0.0, 32)
-        plate_cube = RadarCube(cube.samples * turns, config, geometry)
+        plate_cube = RadarCube(cube.samples * turns[:, None, None], config, geometry)
         pdet = detect_target(range_doppler(plate_cube), range_angle(plate_cube), GATE_M)
         focused = focus(pdet, prof.phase_phasors, geometry, config)
         assert _aligned(focused)

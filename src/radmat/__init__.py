@@ -10,8 +10,9 @@ reference store matches it to material candidates, and an
 uncertainty-gated fusion step arbitrates against visual candidates.
 
 The package root is the radar chain, matching and fusion.  The visual
-branch, whose HTTP provider brings in the standard library's HTTP
-client, is not imported here: callers import `radmat.vlm` explicitly.
+branch is not imported here: callers import `radmat.vlm` explicitly, and
+its HTTP provider loads the standard library's HTTP client only at the
+first HTTP request.
 """
 
 from .calibration import CalibrationProfile, Measurement, calibrate_plate, calibrate_sphere, measure, rcs_from_snr

@@ -77,8 +77,8 @@ def estimate_noise_power(empty_cube: RadarCube) -> float:
     by 1/ln(2) (the median of an exponential is ln(2) times its mean), so
     the estimate is unbiased for pure noise yet robust to leakage.
     """
-    spectra = range_doppler(empty_cube).per_antenna
-    power = np.abs(spectra) ** 2
+    power = np.abs(range_doppler(empty_cube).per_antenna)
+    power **= 2  # in place: the full map is the calibration's largest array
     estimate = median(power) / math.log(2.0)
     if estimate <= 0:
         raise CalibrationError("empty-scene cube has zero power; cannot estimate noise")

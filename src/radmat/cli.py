@@ -88,11 +88,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    sphere_cube = cube_io.read_cube(args.sphere)
+    # the noise estimate first, so that its full-map arrays never sit beside the sphere cube
     noise_power = calibration.estimate_noise_power(cube_io.read_cube(args.noise_cube))
     profile = pipeline.calibrate_from_cubes(
-        sphere_cube, cube_io.read_cube(args.plate), args.sphere_diameter, noise_power,
-        (args.gate[0], args.gate[1]),
+        cube_io.read_cube(args.sphere), cube_io.read_cube(args.plate), args.sphere_diameter,
+        noise_power, (args.gate[0], args.gate[1]),
     )
     docio.write_document(args.output, profile.to_document())
     print(f"wrote {args.output}: metal_plate_rho={profile.metal_plate_rho:.6g}")

@@ -64,7 +64,8 @@ def write_cube(path, cube: RadarCube) -> None:
         data = cube.samples.astype(np.complex64)
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: samples exceed the float32 range")
-    Path(path).write_bytes(header + data.tobytes())
+    with open(path, "wb") as file:
+        file.writelines((header, data))  # the payload as it lies, with no copy
 
 
 def read_cube(path) -> RadarCube:

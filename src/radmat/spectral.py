@@ -265,8 +265,8 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     run on the held rows alone, once per antenna block of `_range_rows`
     (all antennas of a gated map, one antenna of a wide one), along the
     last axis of the block's contiguous [antenna, range, chirp]
-    transpose, into `per_antenna`.  The twiddle table and a gate's DFT
-    block are built once per frame shape.
+    transpose, into `per_antenna`, each block's magnitudes summed in turn.
+    The twiddle table and a gate's DFT block are built once per frame shape.
     """
     cfg = cube.config
     if cfg.chirps_per_frame < 2:
@@ -279,13 +279,15 @@ def range_doppler(cube: RadarCube, gate_m=None) -> RangeDopplerMap:
     n_fft_d, velocity_bin_m_s = _doppler_axis(cfg)
     fft_bins = _fft_bin(np.arange(n_fft_d), n_fft_d)  # the FFT bin of each map bin
     spectra = np.empty((cube.geometry.element_count, hi - lo, n_fft_d), dtype=complex)
+    magnitudes = np.zeros((hi - lo, n_fft_d))
     first = 0
     for by_range in _range_rows(cube, lo, hi, n_fft_r):
         block = spectra[first : first + by_range.shape[0]]
         first += by_range.shape[0]
+        # copied: the FFT of the view itself keeps its layout, and the gather below slows
         doppler = np.fft.fft(np.ascontiguousarray(by_range.transpose(0, 2, 1)), n=n_fft_d, axis=2)
-        block[...] = doppler[:, :, fft_bins]
-    magnitudes = np.abs(spectra).sum(axis=0)
+        np.take(doppler, fft_bins, axis=2, out=block, mode="clip")  # in range; "clip": unbuffered
+        magnitudes += np.abs(block).sum(axis=0)  # block by block: no whole-map temporary
     return RangeDopplerMap(magnitudes, range_bin_m, velocity_bin_m_s, spectra, lo, n_fft_r, cube)
 
 

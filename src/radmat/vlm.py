@@ -12,16 +12,14 @@ the answer is an object with a "candidates" array of [name, probability]
 pairs (renormalized when the sum is within 1 percent of one, rejected
 otherwise) and optionally "luminance" and "complexity"; any other key
 raises ProviderError (exit 8).  Auth tokens are only ever read from the
-environment variable named in the provider config.
+environment variable named in the provider config.  The standard library's
+HTTP client is imported at the first HTTP request, not with this module.
 """
 
 import base64
-import http.client
 import json
 import math
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,6 +112,9 @@ def _headers(config: ProviderConfig) -> dict:
 
 def _http_answer(query: VisualQuery, config: ProviderConfig):
     """The decoded JSON body of one POST, with a hard timeout."""
+    import http.client
+    import urllib.error
+    import urllib.request
     try:
         image_bytes = Path(query.image_ref).read_bytes()
     except OSError as exc:

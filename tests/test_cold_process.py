@@ -1,9 +1,12 @@
 """`radmat` in a fresh process, the way a shell runs it once per frame.
 
-`calibrate` and `pipeline` never import `numpy.ma`, `main` registers one
-exit hook however often it runs, and a process writes the same bytes as
-a `main` call in this one.  `import radmat` leaves out the visual branch
-and its HTTP client; `radmat.cli` brings them in.
+`calibrate` and a mock-provider `pipeline` import neither `numpy.ma` nor
+the HTTP client, `main` registers one exit hook however often it runs,
+and a process writes the same bytes as a `main` call in this one.
+`import radmat` leaves out the visual branch; `radmat.cli` brings it in,
+but the HTTP client loads only at the first HTTP request.  Only a fresh
+process can show that the deferred import works: this one has loaded
+`http.server`, and with it `http.client`, for conftest's provider endpoint.
 """
 
 import json
@@ -19,10 +22,14 @@ from radmat.docio import write_document
 from conftest import child_env, make_plate, make_sphere
 
 VLM_FIXTURES = Path(__file__).parent / "data" / "vlm_fixtures.json"
-# `radmat` as its console script runs it, then whether `numpy.ma` was imported
+# the standard library's HTTP client and the TLS and e-mail modules it loads
+HTTP_MODULES = ("urllib.request", "http.client", "ssl", "email.parser")
+# `radmat` as its console script runs it, then whether `numpy.ma` was
+# imported and which of `HTTP_MODULES` were
 SHIM = (
-    "import sys; from radmat.cli import main; code = main(); "
-    "print('numpy.ma' in sys.modules); sys.exit(code)"
+    "import json, sys; from radmat.cli import main; code = main(); "
+    f"http = [name for name in {HTTP_MODULES!r} if name in sys.modules]; "
+    "print(json.dumps(['numpy.ma' in sys.modules, http])); sys.exit(code)"
 )
 # the exit callbacks before and after `import radmat`, after two `main`
 # calls, and whether running the callbacks froze the collector
@@ -39,15 +46,15 @@ atexit._run_exitfuncs()
 print(json.dumps([before, imported, registered, codes, unfrozen, gc.get_freeze_count() > 0]))
 """
 
-# which of the visual branch's modules `import radmat` loaded, then whether
-# `import radmat.cli` loaded `radmat.vlm`
-VISUAL_MODULES = ("radmat.vlm", "urllib.request", "http.client", "ssl", "email.parser")
+# which of the visual branch's modules `import radmat` loaded, then which
+# `import radmat.cli` loaded
+VISUAL_MODULES = ("radmat.vlm", *HTTP_MODULES)
 BOUNDARY_PROBE = f"""
 import json, sys
 import radmat
 root = [name for name in {VISUAL_MODULES!r} if name in sys.modules]
 import radmat.cli
-print(json.dumps([root, "radmat.vlm" in sys.modules]))
+print(json.dumps([root, [name for name in {VISUAL_MODULES!r} if name in sys.modules]]))
 """
 
 
@@ -66,10 +73,10 @@ def _calibrate_argv(work, output):
     ]
 
 
-def _pipeline_argv(work, output):
+def _pipeline_argv(work, output, provider="provider.json", image="a5_cup"):
     return [
         "pipeline", "--cube", str(work / "frame.rcub"), "--profile", str(work / "profile.json"),
-        "--provider", str(work / "provider.json"), "--image", "a5_cup",
+        "--provider", str(work / provider), "--image", image,
         "--gate", "0.1", "0.6", "-o", str(output),
     ]
 
@@ -87,22 +94,34 @@ def work(tmp_path_factory, fixture_position, frame_factory):
     return work
 
 
-def _assert_ran_without_numpy_ma(run):
+def _shim_report(run):
+    """Whether the shim's process imported `numpy.ma`, and which `HTTP_MODULES`."""
     assert run.returncode == EXIT_OK, run.stderr[-3000:]
-    assert run.stdout.splitlines()[-1] == "False", "numpy.ma was imported"
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def test_calibrate_process_skips_numpy_ma(work):
     run = _run(SHIM, *_calibrate_argv(work, work / "profile.cold.json"), cwd=work)
-    _assert_ran_without_numpy_ma(run)
+    assert _shim_report(run) == [False, []]
     assert (work / "profile.cold.json").read_bytes() == (work / "profile.json").read_bytes()
 
 
 def test_pipeline_process_skips_numpy_ma(work):
     run = _run(SHIM, *_pipeline_argv(work, work / "decision.cold.json"), cwd=work)
-    _assert_ran_without_numpy_ma(run)
+    assert _shim_report(run) == [False, []]
     assert main(_pipeline_argv(work, work / "decision.json")) == EXIT_OK
     assert (work / "decision.cold.json").read_bytes() == (work / "decision.json").read_bytes()
+
+
+def test_http_pipeline_process_loads_the_client(work, http_server):
+    image = work / "object.png"
+    image.write_bytes(b"\x89PNG fake image bytes")
+    write_document(work / "http.json", {"mode": "http", "endpoint_url": http_server})
+    cold, warm = work / "decision.http.cold.json", work / "decision.http.json"
+    run = _run(SHIM, *_pipeline_argv(work, cold, "http.json", str(image)), cwd=work)
+    assert _shim_report(run) == [False, list(HTTP_MODULES)]
+    assert main(_pipeline_argv(work, warm, "http.json", str(image))) == EXIT_OK
+    assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_main_registers_one_exit_hook(tmp_path):
@@ -118,6 +137,6 @@ def test_main_registers_one_exit_hook(tmp_path):
 def test_package_root_leaves_out_the_visual_branch(tmp_path):
     run = _run(BOUNDARY_PROBE, cwd=tmp_path)
     assert run.returncode == 0, run.stderr[-3000:]
-    root, cli_loads_vlm = json.loads(run.stdout)
+    root, cli = json.loads(run.stdout)
     assert root == []
-    assert cli_loads_vlm
+    assert cli == ["radmat.vlm"]

@@ -1,13 +1,14 @@
 """radmat: physics-grounded material identification from FMCW radar.
 
 A radar cube is reduced to range-Doppler and range-angle maps, a gated
-target is calibrated against a metal sphere, and a coherence-weighted
-vector synthesis yields an enhanced SNR.  Normalizing the resulting RCS
-by the half-power peak reflection cell area and by a metal plate
-reference gives the Fresnel reflection coefficient, which inverts to the
-relative dielectric constant -- an intrinsic material signature.  A
-reference store matches it to material candidates, and an
-uncertainty-gated fusion step arbitrates against visual candidates.
+target is phase-aligned by a metal sphere's phasors, and a
+coherence-weighted vector synthesis yields an enhanced SNR.  Normalizing
+the resulting reflectivity by the half-power peak reflection cell area
+and by a metal plate reference gives the Fresnel reflection coefficient,
+which inverts to the relative dielectric constant -- an intrinsic
+material signature.  A reference store matches it to material
+candidates, and an uncertainty-gated fusion step arbitrates against
+visual candidates.
 
 The package root is the radar chain, matching and fusion.  The visual
 branch is not imported here: callers import `radmat.vlm` explicitly, and
@@ -15,13 +16,8 @@ its HTTP provider loads the standard library's HTTP client only at the
 first HTTP request.
 """
 
-from .calibration import CalibrationProfile, Measurement, calibrate_plate, calibrate_sphere, measure, rcs_from_snr
-from .dielectric import (
-    EmFeatureVector,
-    dielectric_from_fresnel,
-    extract_features,
-    reflection_coefficients,
-)
+from .calibration import CalibrationProfile, Measurement, calibrate_plate, calibrate_sphere, measure
+from .dielectric import EmFeatureVector, dielectric_from_fresnel, extract_features
 from .errors import (
     CalibrationError,
     DocumentError,

@@ -95,7 +95,7 @@ def cmd_calibrate(args) -> int:
         noise_power, (args.gate[0], args.gate[1]),
     )
     docio.write_document(args.output, profile.to_document())
-    print(f"wrote {args.output}: metal_plate_rho={profile.metal_plate_rho:.6g}")
+    print(f"wrote {args.output}: plate_reflectivity={profile.plate_reflectivity:.6g}")
     return EXIT_OK
 
 
@@ -179,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="build a calibration profile from sphere and plate cubes")
     p.add_argument("--sphere", required=True, help="metal sphere cube")
     p.add_argument("--plate", required=True, help="smooth metal plate cube")
-    p.add_argument("--sphere-diameter", type=float, required=True, help="meters")
+    p.add_argument(
+        "--sphere-diameter", type=float, required=True,
+        help="meters; the sphere is the phase reference only at 5 wavelengths or more",
+    )
     p.add_argument("--noise-cube", required=True, help="empty-scene cube for the noise floor")
     _add_gate(p)
     p.add_argument("--output", "-o", required=True)

@@ -25,7 +25,6 @@ and every cube that float32 cannot hold raises FormatError; every malformed
 scene document, whose values `docio.typed` reads, DocumentError.
 """
 
-import dataclasses
 import math
 import struct
 from pathlib import Path
@@ -34,7 +33,7 @@ import numpy as np
 
 from .docio import check_keys, malformed, read_document, typed
 from .errors import DocumentError, FormatError
-from .signal_model import ArrayGeometry, ChirpConfig, RadarCube, SceneTarget, default_geometry
+from .signal_model import ArrayGeometry, ChirpConfig, RadarCube, SceneTarget
 
 MAGIC = b"RCUB"
 VERSION = 1
@@ -90,23 +89,6 @@ def read_cube(path) -> RadarCube:
         return RadarCube(samples, config, geometry)  # widened to complex128 in one copy
 
 
-def chirp_config_from_document(doc: dict) -> ChirpConfig:
-    """Every `ChirpConfig` field is required and read by its type with `typed`."""
-    fields = dataclasses.fields(ChirpConfig)
-    with malformed(DocumentError, "chirp"):
-        check_keys(doc, "chirp", [field.name for field in fields])
-        return ChirpConfig(**{f.name: typed(f.type, doc[f.name], f.name) for f in fields})
-
-
-def geometry_from_document(doc: dict, config: ChirpConfig) -> ArrayGeometry:
-    with malformed(DocumentError, "array"):
-        check_keys(doc, "array", ("element_count", "spacing_m"))
-        count = typed(int, doc["element_count"], "element_count")
-        if "spacing_m" in doc:
-            return ArrayGeometry(count, typed(float, doc["spacing_m"], "spacing_m"))
-        return default_geometry(config, count)
-
-
 def _target_from_entry(entry: dict) -> SceneTarget:
     check_keys(entry, "target", ("position_m", "dielectric_constant", *_OPTIONAL_TARGET_KEYS))
     optional = {k: typed(t, entry[k], k) for k, t in _OPTIONAL_TARGET_KEYS.items() if k in entry}
@@ -125,8 +107,8 @@ def load_scene(path):
     doc = read_document(path)
     with malformed(DocumentError, "scene"):
         check_keys(doc, "scene", ("kind", "chirp", "array", "targets", "noise_power_w", "seed"))
-        config = chirp_config_from_document(doc["chirp"])
-        geometry = geometry_from_document(doc["array"], config)
+        config = ChirpConfig.from_document(doc["chirp"], DocumentError)
+        geometry = ArrayGeometry.from_document(doc["array"], config, DocumentError)
         targets = []
         for i, entry in enumerate(typed(list, doc["targets"], "targets")):
             with malformed(DocumentError, f"target {i}"):

@@ -1,10 +1,10 @@
 """Dielectric constant extraction from calibrated radar measurements.
 
-The chain starts from a `calibration.Measurement`, whose RCS sigma is
-already sphere-referenced: power reflection rho = sigma / A_r
-(PRCA-normalized) -> Fresnel coefficient r_p = sqrt(rho /
-rho_metal_plate) -> relative dielectric constant via inversion of the
-p-polarized Fresnel formula.
+The chain starts from a `calibration.Measurement`, whose reflectivity
+rho = SNR * R^4 / A is the PRCA-normalized RCS up to the radar's own
+constant.  The constant cancels in the Fresnel coefficient
+r_p = sqrt(rho / rho_plate), which inverts to the relative
+dielectric constant through the p-polarized Fresnel formula.
 
 The inversion is the plus root of
 
@@ -23,66 +23,51 @@ is power-based, so r_p is stored as a magnitude and clamped just below
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .calibration import CalibrationProfile, Measurement
 from .docio import from_document, to_document
 from .errors import CalibrationError, DomainError, RadmatError
 
 R_P_CEILING = 1.0 - 1e-9
+# keys of records written while the reflectivity carried the sphere's m^2 scale, read and ignored
+_RETIRED_KEYS = ("rcs_m2", "power_reflection")
 
 
 @dataclass(frozen=True)
 class EmFeatureVector:
-    """The nine radar-derived parameters handed to matching and fusion."""
+    """The seven radar-derived parameters handed to matching and fusion."""
 
     range_m: float
     velocity_m_s: float
     angle_rad: float
-    snr_db: float
-    rcs_m2: float
-    power_reflection: float
+    snr_db: float  # -inf for a zero SNR
     fresnel_coefficient: float
     dielectric_constant: float
     prca_area_m2: float
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) or field.name == "snr_db" and value == -math.inf):
+                raise DomainError(f"{field.name} must be finite, not {value}")
         if not 0.0 <= self.fresnel_coefficient < 1.0:
             raise DomainError("fresnel coefficient must lie in [0, 1)")
         if self.dielectric_constant < 1.0:
             raise DomainError("dielectric constant must be >= 1")
         if self.prca_area_m2 <= 0:
             raise DomainError("PRCA area must be positive")
-        if abs(self.rcs_m2 - self.power_reflection * self.prca_area_m2) > 1e-9 * max(
-            abs(self.rcs_m2), 1e-300
-        ):
-            raise DomainError("rcs must equal power_reflection * prca_area")
 
     def to_document(self) -> dict:
         return to_document(self, "em_feature_vector")
 
     @classmethod
     def from_document(cls, doc: dict) -> "EmFeatureVector":
-        return from_document(cls, doc, DomainError, "em_feature_vector")
+        return from_document(cls, doc, DomainError, "em_feature_vector", _RETIRED_KEYS)
 
     @property
     def snr_linear(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
-
-
-def reflection_coefficients(
-    rcs_m2: float, area_m2: float, profile: CalibrationProfile
-):
-    """(rho, r_p): PRCA-normalized reflectivity and its metal-referenced root."""
-    if area_m2 <= 0:
-        raise DomainError("PRCA area must be positive")
-    if rcs_m2 < 0:
-        raise DomainError("RCS must be non-negative")
-    if not profile.is_complete:
-        raise CalibrationError("metal plate calibration missing")
-    rho = rcs_m2 / area_m2
-    r_p = min(math.sqrt(rho / profile.metal_plate_rho), R_P_CEILING)
-    return rho, r_p
 
 
 def dielectric_from_fresnel(r_p: float, incidence_angle_rad: float) -> float:
@@ -115,7 +100,9 @@ def extract_features(measurement: Measurement, profile: CalibrationProfile) -> E
     detection, area_m2 = measurement.detection, measurement.region.area_m2
     snr = measurement.synthesis.enhanced_snr_linear
     with _stage("reflection"):
-        rho, r_p = reflection_coefficients(measurement.rcs_m2, area_m2, profile)
+        if not profile.is_complete:
+            raise CalibrationError("metal plate calibration missing")
+        r_p = min(math.sqrt(measurement.reflectivity / profile.plate_reflectivity), R_P_CEILING)
     with _stage("inversion"):
         epsilon = dielectric_from_fresnel(r_p, abs(detection.angle_rad))
     return EmFeatureVector(
@@ -123,8 +110,6 @@ def extract_features(measurement: Measurement, profile: CalibrationProfile) -> E
         velocity_m_s=detection.velocity_m_s,
         angle_rad=detection.angle_rad,
         snr_db=10.0 * math.log10(snr) if snr > 0 else -math.inf,
-        rcs_m2=rho * area_m2,
-        power_reflection=rho,
         fresnel_coefficient=r_p,
         dielectric_constant=epsilon,
         prca_area_m2=area_m2,

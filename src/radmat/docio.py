@@ -12,7 +12,8 @@ or provider answer becomes an error class, raised from a reader's block.
 A document whose keys are its dataclass's field names is derived from
 the fields by ``to_document``: a complex scalar or array goes under
 ``<name>_re_im`` as ``[re, im]`` pairs, tuples and arrays become lists
-whose numbers are floats, and other scalars are written as stored.
+whose numbers are floats, a dataclass becomes an object of its fields,
+and other scalars are written as stored.
 """
 
 import dataclasses
@@ -63,6 +64,8 @@ def read_document(path) -> dict:
 
 
 def _plain(value, nested=False):
+    if dataclasses.is_dataclass(value):
+        return {field.name: _plain(getattr(value, field.name)) for field in dataclasses.fields(value)}
     if isinstance(value, (tuple, np.ndarray)):
         return [_plain(item, True) for item in value]
     return float(value) if nested and not isinstance(value, str) else value
@@ -123,13 +126,15 @@ def check_keys(doc: dict, kind: str, keys) -> None:
         raise ValueError(f"unknown keys {sorted(unknown)}")
 
 
-def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
+def from_document(cls, doc: dict, error, kind: str, extra_keys=(), readers=None):
     """Inverse of ``to_document``, reading each field by its annotation with ``typed``.
 
     The document's ``kind``, when it has one, must be ``kind``, and every
     other key must be a field's key or one of ``extra_keys``: keys that
     ``to_document`` writes besides the fields, and legacy keys still read
-    and ignored.  An ``np.ndarray`` field is read from ``<name>_re_im``.  A
+    and ignored.  An ``np.ndarray`` field is read from ``<name>_re_im``, and
+    a field named in ``readers`` by its reader, called with the key's value
+    and the fields read before it, in field order.  A
     key may be missing only when its field has a default.  A wrong kind, an
     unknown key and every exception that ``malformed`` maps, the class's
     own validation included, are raised as ``error``.
@@ -141,10 +146,12 @@ def from_document(cls, doc: dict, error, kind: str, extra_keys=()):
             for field in dataclasses.fields(cls)
         }
         check_keys(doc, kind, ("kind", *keys.values(), *extra_keys))
-        kwargs = {}
+        kwargs, readers = {}, readers or {}
         for field in dataclasses.fields(cls):
             key = keys[field.name]
-            if key in doc:
+            if field.name in readers and key in doc:
+                kwargs[field.name] = readers[field.name](doc[key], kwargs)
+            elif key in doc:
                 kwargs[field.name] = typed(hints[field.name], doc[key], key)
             elif field.default is dataclasses.MISSING:
                 raise KeyError(key)

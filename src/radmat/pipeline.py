@@ -57,11 +57,12 @@ def calibrate_from_cubes(
 
 
 def extract_from_cube(cube: RadarCube, profile: CalibrationProfile, gate_m) -> ExtractionResult:
-    """Run the full radar-side chain on one frame."""
+    """Run the full radar-side chain on one frame of the profile's radar."""
     if not profile.is_complete:
         raise CalibrationError("profile lacks the metal plate reference")
+    profile.check_radar(cube.config, cube.geometry)
     _, ra_map, detection = detect(cube, gate_m)
-    m = measure(detection, ra_map, cube.geometry, cube.config, profile)
+    m = measure(detection, ra_map, profile)
     features = extract_features(m, profile)
     return ExtractionResult(features, detection, m.synthesis, m.region)
 

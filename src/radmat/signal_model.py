@@ -29,10 +29,11 @@ antenna axis by exp(1j * offsets) models them.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .docio import check_keys, malformed, typed
 from .errors import DomainError, SceneError
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, radar convention
@@ -75,6 +76,14 @@ class ChirpConfig:
                 f"{self.samples_per_chirp / self.sample_rate_hz:.3e} s)"
             )
 
+    @classmethod
+    def from_document(cls, doc: dict, error) -> "ChirpConfig":
+        """The `chirp` object of a scene or profile: every field is required,
+        read by its type with `typed`; a malformed one raises `error`."""
+        with malformed(error, "chirp"):
+            check_keys(doc, "chirp", [f.name for f in fields(cls)])
+            return cls(**{f.name: typed(f.type, doc[f.name], f.name) for f in fields(cls)})
+
     @property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_frequency_hz
@@ -99,6 +108,17 @@ class ArrayGeometry:
     def __post_init__(self):
         if not (self.element_count >= 2 and math.isfinite(self.spacing_m) and self.spacing_m > 0):
             raise DomainError("array needs at least 2 elements and a finite spacing > 0")
+
+    @classmethod
+    def from_document(cls, doc: dict, config: ChirpConfig, error) -> "ArrayGeometry":
+        """The `array` object of a scene or profile; without `spacing_m`, the
+        array of `default_geometry`.  A malformed one raises `error`."""
+        with malformed(error, "array"):
+            check_keys(doc, "array", ("element_count", "spacing_m"))
+            count = typed(int, doc["element_count"], "element_count")
+            if "spacing_m" in doc:
+                return cls(count, typed(float, doc["spacing_m"], "spacing_m"))
+            return default_geometry(config, count)
 
     @functools.cached_property
     def element_positions(self) -> np.ndarray:

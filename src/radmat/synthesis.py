@@ -56,7 +56,16 @@ def focus(
         raise DomainError("antenna count mismatch between detection, phasors and geometry")
     v = detection_voxel(detection)
     dists = np.linalg.norm(geometry.element_positions - v, axis=1)
-    return x * phasors * np.exp(4j * np.pi * dists / config.wavelength_m)
+    return _product(_product(x, phasors), np.exp(4j * np.pi * dists / config.wavelength_m))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, elementwise, in real arithmetic: numpy's complex product
+    rounds differently at different SIMD levels, its real one does not."""
+    out = np.empty_like(a, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def synthesize(
@@ -87,7 +96,7 @@ def synthesize(
     units = offsets / norms[:, None]
     weighted_vector = (weights[:, None] * units).sum(axis=0)
 
-    power = float(np.sum(np.abs(signals) ** 2))
+    power = float(np.sum(signals.real**2 + signals.imag**2))  # real arithmetic, as in `_product`
     coherence = float(np.clip(magnitude**2 / (n * power), 0.0, 1.0))
     snr = float(np.sum(weighted_vector * weighted_vector)) / noise_power_w * coherence
 

@@ -21,11 +21,12 @@ from radmat import (
     gate,
     match,
     prune_visual,
-    rcs_from_snr,
     shoelace_area,
     synthesize_frame,
 )
-from radmat.pipeline import extract_from_cube
+from radmat.calibration import measure
+from radmat.dielectric import R_P_CEILING, extract_features
+from radmat.pipeline import detect, extract_from_cube
 from radmat.spectral import detect_target, range_angle, range_doppler
 from conftest import GATE_M, METAL_EPSILON, make_plate
 
@@ -109,16 +110,20 @@ def test_out_of_gate_reflector_does_not_take_over_prca(
 
 
 def test_criterion_3_geometry_invariance(fixture_position, frame_factory, profile):
-    """Doubling facet area moves sigma by >= 50% but eps by < 10%."""
-    results = []
+    """Doubling facet area moves sigma by >= 50% but eps by < 10%.
+
+    sigma is proportional to the measurement's reflectivity times its area."""
+    sigmas, epsilons = [], []
     for area in (0.04, 0.08):
         cube = frame_factory(
             [make_plate(fixture_position, 1.2, area_m2=area)], seed=210
         )
-        results.append(extract_from_cube(cube, profile, GATE_M).features)
-    small, big = results
-    sigma_change = abs(big.rcs_m2 - small.rcs_m2) / small.rcs_m2
-    eps_change = abs(big.dielectric_constant - small.dielectric_constant) / small.dielectric_constant
+        _, ra, det = detect(cube, GATE_M)
+        m = measure(det, ra, profile)
+        sigmas.append(m.reflectivity * m.region.area_m2)
+        epsilons.append(extract_features(m, profile).dielectric_constant)
+    sigma_change = abs(sigmas[1] - sigmas[0]) / sigmas[0]
+    eps_change = abs(epsilons[1] - epsilons[0]) / epsilons[0]
     assert sigma_change >= 0.50
     assert eps_change < 0.10
     _report(
@@ -171,18 +176,15 @@ def test_criterion_5_prca_geometry():
     _report(5, "PRCA geometry", f"worst sector mismatch {worst:.2e}")
 
 
-def test_criterion_6_calibration_round_trip(profile):
-    """Sphere self-RCS is exact and the equal-range special case holds."""
-    sigma_c = math.pi * (0.063 / 2.0) ** 2
-    assert profile.sphere_rcs_m2 == sigma_c
-    assert sigma_c == pytest.approx(0.0031, rel=0.01)
-    assert rcs_from_snr(profile.sphere_snr_linear, profile.sphere_range_m, profile) == sigma_c
-    for factor in (0.5, 2.0, 7.0):
-        sigma = rcs_from_snr(
-            factor * profile.sphere_snr_linear, profile.sphere_range_m, profile
-        )
-        assert sigma == pytest.approx(factor * sigma_c, rel=1e-12)
-    _report(6, "calibration round trip", f"sigma_c = {sigma_c:.6f} m^2")
+def test_criterion_6_calibration_round_trip(fixture_position, frame_factory, profile):
+    """The plate measured as a target reads exactly the profile's plate reflectivity."""
+    # the conftest profile's own plate cube
+    cube = frame_factory([make_plate(fixture_position, METAL_EPSILON)], seed=12)
+    _, ra, det = detect(cube, GATE_M)
+    plate = measure(det, ra, profile)
+    assert plate.reflectivity == profile.plate_reflectivity
+    assert extract_features(plate, profile).fresnel_coefficient == R_P_CEILING
+    _report(6, "calibration round trip", f"plate reflectivity {plate.reflectivity:.6g}")
 
 
 def test_criterion_7_fusion_fixtures():

@@ -1,22 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from radmat import (
+    ArrayGeometry,
     CalibrationError,
     ChirpConfig,
-    DomainError,
     RadarCube,
     SceneTarget,
     calibrate_plate,
     calibrate_sphere,
     default_geometry,
-    rcs_from_snr,
     synthesize_frame,
 )
 from radmat import pipeline, spectral
-from radmat.calibration import CalibrationProfile, estimate_noise_power, measure
+from radmat.calibration import PROFILE_VERSION, CalibrationProfile, estimate_noise_power, measure
+from radmat.dielectric import R_P_CEILING
 from radmat.docio import canonical_bytes
 from radmat.pipeline import calibrate_from_cubes, detect, extract_from_cube
 from radmat.spectral import DEFAULT_ANGLE_GRID_RAD, detect_target, range_angle, range_doppler
@@ -38,16 +39,15 @@ def _sphere_detection(config, geometry, position, frame_factory, seed=41, **kwar
 
 
 class TestCalibrateSphere:
-    def test_sphere_rcs_is_cross_section(self, profile):
-        # sigma_c = pi * (d/2)^2 for d = 63 mm, about 0.0031 m^2
-        expected = math.pi * (SPHERE_DIAMETER_M / 2.0) ** 2
-        assert profile.sphere_rcs_m2 == expected
-        assert profile.sphere_rcs_m2 == pytest.approx(0.0031, rel=0.01)
-
-    def test_small_sphere_not_optical_region(self, config, geometry, fixture_position, frame_factory, noise_power):
+    # the diameter is the phase reference's only check: a non-finite one
+    # must not pass as large
+    @pytest.mark.parametrize("diameter_m", [0.010, math.nan, math.inf])
+    def test_small_sphere_not_optical_region(
+        self, config, geometry, fixture_position, frame_factory, noise_power, diameter_m
+    ):
         det = _sphere_detection(config, geometry, fixture_position, frame_factory)
         with pytest.raises(CalibrationError, match="optical"):
-            calibrate_sphere(det, geometry, config, 0.010, noise_power)
+            calibrate_sphere(det, geometry, config, diameter_m, noise_power)
 
     def test_zero_phase_error_gives_unit_phasors(
         self, config, geometry, fixture_position, frame_factory, noise_power
@@ -79,38 +79,10 @@ class TestCalibrateSphere:
             calibrate_sphere(det, geometry, config, SPHERE_DIAMETER_M, 0.0)
 
 
-class TestRcsFromSnr:
-    def test_sphere_round_trip_exact(self, profile):
-        sigma = rcs_from_snr(profile.sphere_snr_linear, profile.sphere_range_m, profile)
-        assert sigma == profile.sphere_rcs_m2
-
-    def test_linear_in_snr(self, profile):
-        sigma = rcs_from_snr(2.0 * profile.sphere_snr_linear, profile.sphere_range_m, profile)
-        assert sigma == pytest.approx(2.0 * profile.sphere_rcs_m2, rel=1e-12)
-
-    def test_quartic_in_range(self, profile):
-        sigma = rcs_from_snr(profile.sphere_snr_linear, 2.0 * profile.sphere_range_m, profile)
-        assert sigma == pytest.approx(16.0 * profile.sphere_rcs_m2, rel=1e-12)
-
-    def test_homogeneity_degrees(self, profile):
-        base = rcs_from_snr(profile.sphere_snr_linear, profile.sphere_range_m, profile)
-        for a, b in ((3.0, 1.0), (1.0, 1.5), (2.5, 0.7)):
-            scaled = rcs_from_snr(
-                a * profile.sphere_snr_linear, b * profile.sphere_range_m, profile
-            )
-            assert scaled == pytest.approx(a * b**4 * base, rel=1e-12)
-
-    def test_invalid_inputs(self, profile):
-        with pytest.raises(DomainError):
-            rcs_from_snr(0.0, 0.3, profile)
-        with pytest.raises(DomainError):
-            rcs_from_snr(10.0, -1.0, profile)
-
-
 class TestCalibratePlate:
     def test_metal_plate_reference_positive(self, profile):
         assert profile.is_complete
-        assert profile.metal_plate_rho > 0
+        assert profile.plate_reflectivity > 0
 
     def test_missing_sphere_calibration(self, config, geometry, fixture_position, frame_factory):
         cube = frame_factory([make_plate(fixture_position, 1e6)], seed=44)
@@ -127,7 +99,23 @@ class TestCalibratePlate:
         det = detect_target(range_doppler(cube), ra, GATE_M)
         once = calibrate_plate(det, ra, geometry, config, profile)
         twice = calibrate_plate(det, ra, geometry, config, once)
-        assert once.metal_plate_rho == twice.metal_plate_rho
+        assert once.plate_reflectivity == twice.plate_reflectivity
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [("chirps_per_frame", 32), ("carrier_frequency_hz", 61.0e9), ("element_count", 12)],
+    )
+    def test_plate_of_another_radar_names_the_setting(self, fixture_position, profile, setting, value):
+        # the plate cube's radar differs from the sphere's in one setting
+        config, geometry = profile.chirp, profile.array
+        if setting == "element_count":
+            geometry = ArrayGeometry(value, geometry.spacing_m)
+        else:
+            config = replace(config, **{setting: value})
+        cube = synthesize_frame([make_plate(fixture_position, 1e6)], config, geometry, 0.0, 12)
+        _, ra, det = detect(cube, GATE_M)
+        with pytest.raises(CalibrationError, match=f"{setting} {value!r} differs"):
+            calibrate_plate(det, ra, geometry, config, profile)
 
 
 # (samples per chirp, chirps per frame, antennas, range bin of the references)
@@ -148,24 +136,21 @@ def _reference_cubes(shape, seed):
     return frame([make_sphere(position)], 1), frame([plate], 2), frame([], 3)
 
 
-class TestReferencesReadAsThemselves:
-    """The sphere and the plate go through the target's measurement step,
-    so each reference measured as a target reads exactly its own value."""
+class TestPlateReadsAsItself:
+    """The plate goes through the target's measurement step, so measured
+    as a target it reads exactly its own reflectivity, the ceiling of r_p."""
 
     @pytest.mark.parametrize("shape", CALIBRATED_SHAPES)
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sphere_and_plate(self, shape, seed):
+    def test_plate(self, shape, seed):
         sphere_cube, plate_cube, empty_cube = _reference_cubes(shape, seed)
-        config, geometry = sphere_cube.config, sphere_cube.geometry
         noise = estimate_noise_power(empty_cube)
         profile = calibrate_from_cubes(sphere_cube, plate_cube, SPHERE_DIAMETER_M, noise, GATE_M)
 
-        _, ra, det = detect(sphere_cube, GATE_M)
-        sphere = measure(det, ra, geometry, config, profile)
-        assert sphere.synthesis.enhanced_snr_linear == profile.sphere_snr_linear
-        assert sphere.rcs_m2 == profile.sphere_rcs_m2
+        _, ra, det = detect(plate_cube, GATE_M)
+        assert measure(det, ra, profile).reflectivity == profile.plate_reflectivity
         plate = extract_from_cube(plate_cube, profile, GATE_M).features
-        assert plate.power_reflection == profile.metal_plate_rho
+        assert plate.fresnel_coefficient == R_P_CEILING
 
 
 class TestOneRangeTransform:
@@ -238,7 +223,32 @@ class TestProfilePersistence:
 
     def test_invalid_document_rejected(self):
         with pytest.raises(CalibrationError):
-            CalibrationProfile.from_document({"kind": "calibration_profile"})
+            CalibrationProfile.from_document({"kind": "calibration_profile", "version": 2})
+
+    @pytest.mark.parametrize("version", [1, 3, None, "2"])
+    def test_other_version_must_be_calibrated_again(self, profile, version):
+        # a version-1 profile holds its plate reference in the sphere's m^2 scale
+        doc = {**profile.to_document(), "version": version}
+        if version is None:
+            del doc["version"]
+        with pytest.raises(CalibrationError, match="run `radmat calibrate` again"):
+            CalibrationProfile.from_document(doc)
+
+    def test_names_the_radar_it_calibrates(self, profile, config, geometry):
+        doc = profile.to_document()
+        assert doc["version"] == PROFILE_VERSION
+        assert ChirpConfig.from_document(doc["chirp"], CalibrationError) == config
+        assert ArrayGeometry.from_document(doc["array"], config, CalibrationError) == geometry
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("chirp", "chirps_per_frame", 64.5), ("chirp", "chirps", 64), ("array", "element_count", "8")],
+    )
+    def test_malformed_radar_raises_calibration_error(self, profile, section, key, value):
+        doc = profile.to_document()
+        doc[section] = {**doc[section], key: value}
+        with pytest.raises(CalibrationError, match=f"{section}: "):
+            CalibrationProfile.from_document(doc)
 
     @pytest.mark.parametrize("re", [2.0, math.nan])
     def test_phasor_magnitude_validated(self, profile, re):
@@ -249,13 +259,7 @@ class TestProfilePersistence:
 
     @pytest.mark.parametrize(
         "field",
-        [
-            "sphere_rcs_m2",
-            "sphere_range_m",
-            "sphere_snr_linear",
-            "noise_power_w",
-            "metal_plate_rho",
-        ],
+        ["noise_power_w", "plate_reflectivity"],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_scalar_rejected(self, profile, field, value):

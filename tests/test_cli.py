@@ -31,7 +31,7 @@ from radmat.errors import RadmatError
 from radmat.fusion import RadarContext, VisualContext
 from radmat.knowledge import load_store
 from radmat.pipeline import calibrate_from_cubes, detect
-from radmat.signal_model import SceneTarget
+from radmat.signal_model import SceneTarget, synthesize_frame
 from radmat.spectral import range_angle_at_doppler, range_doppler
 from radmat.vlm import ProviderConfig, VisualQuery, propose
 from conftest import FIXTURE_NOISE_W, ProviderHandler, child_env, make_plate
@@ -303,9 +303,8 @@ class TestCalibrateCommand:
         )
         assert code == EXIT_OK
         doc = read_document(out)
-        assert "system_constant_k" not in doc
-        assert doc["metal_plate_rho"] > 0
-        assert f"metal_plate_rho={doc['metal_plate_rho']:.6g}" in capsys.readouterr().out
+        assert doc["version"] == 2 and doc["plate_reflectivity"] > 0
+        assert f"plate_reflectivity={doc['plate_reflectivity']:.6g}" in capsys.readouterr().out
         # the command is a thin wrapper over the library's calibrate flow
         library = calibrate_from_cubes(
             read_cube(sphere), read_cube(plate), 0.063,
@@ -318,7 +317,7 @@ class TestCalibrateCommand:
     ):
         from conftest import make_sphere
 
-        # measure computes the plate's sigma before the SNR check; a plate
+        # measure computes the plate's reflectivity before the SNR check; a plate
         # swamped by a loud noise cube's floor (about 4e15 W per bin) must
         # still fail as a calibration error
         sphere = tmp_path / "sphere.rcub"
@@ -333,6 +332,29 @@ class TestCalibrateCommand:
         assert main(argv) == EXIT_CALIBRATION
         assert "plate SNR is below the usable threshold" in capsys.readouterr().err
 
+    def test_sphere_and_plate_of_different_radars_exit_calibration(
+        self, tmp_path, config, geometry, fixture_position, frame_factory, capsys
+    ):
+        from conftest import make_sphere
+
+        # the plate frame has 32 chirps, the sphere frame 64
+        plate_radar = replace(config, chirps_per_frame=32)
+        sphere, plate = tmp_path / "sphere.rcub", tmp_path / "plate.rcub"
+        empty, out = tmp_path / "empty.rcub", tmp_path / "profile.json"
+        write_cube(sphere, frame_factory([make_sphere(fixture_position)], seed=11))
+        write_cube(plate, synthesize_frame(
+            [make_plate(fixture_position, 1e6)], plate_radar, geometry, FIXTURE_NOISE_W, 12
+        ))
+        write_cube(empty, frame_factory([], seed=99))
+        argv = ["calibrate", "--sphere", str(sphere), "--plate", str(plate),
+                "--noise-cube", str(empty), "--sphere-diameter", "0.063",
+                "--gate", "0.1", "0.6", "-o", str(out)]
+        assert main(argv) == EXIT_CALIBRATION
+        assert "chirp chirps_per_frame 32 differs from the calibrated radar's 64" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestExtract:
     def test_oracle_plate_features(self, tmp_path, config, fixture_position, frame_factory, profile_path):
@@ -346,6 +368,27 @@ class TestExtract:
         assert code == EXIT_OK
         features = read_document(out)
         assert 3.6 <= features["dielectric_constant"] <= 4.4
+
+    @pytest.mark.parametrize("chirps", [128, 32])
+    def test_frame_of_another_radar_exits_calibration(
+        self, tmp_path, config, geometry, fixture_position, profile_path, capsys, chirps
+    ):
+        # the profile calibrates 64-chirp frames; unchecked, it read this
+        # eps 5.1 plate as 61.5 at 128 chirps and as 2.19 at 32
+        radar = replace(config, chirps_per_frame=chirps)
+        cube_path, out = tmp_path / "plate.rcub", tmp_path / "features.json"
+        write_cube(cube_path, synthesize_frame(
+            [make_plate(fixture_position, 5.1)], radar, geometry, FIXTURE_NOISE_W, 5
+        ))
+        code = main(
+            ["extract", str(cube_path), "--profile", profile_path,
+             "--gate", "0.1", "0.6", "-o", str(out)]
+        )
+        assert code == EXIT_CALIBRATION
+        assert f"chirp chirps_per_frame {chirps} differs from the calibrated radar's 64" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_empty_scene_no_target(self, tmp_path, frame_factory, profile_path):
         cube_path = tmp_path / "empty.rcub"
@@ -493,8 +536,6 @@ FEATURES = {
     "velocity_m_s": 0.0,
     "angle_rad": 0.0,
     "snr_db": 30.0,
-    "rcs_m2": 0.5 * 0.04,
-    "power_reflection": 0.5,
     "fresnel_coefficient": 0.25,
     "dielectric_constant": 2.8,
     "prca_area_m2": 0.04,
@@ -502,6 +543,28 @@ FEATURES = {
 
 
 class TestIdentify:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param(key, value, id=f"{key}-{value}")
+            for key in FEATURES
+            for value in (math.nan, math.inf, -math.inf)
+            if (key, value) != ("snr_db", -math.inf)
+        ],
+    )
+    def test_non_finite_feature_exits_domain(self, tmp_path, capsys, key, value):
+        features, out = tmp_path / "features.json", tmp_path / "candidates.json"
+        write_document(features, {**FEATURES, key: value})  # written as NaN or Infinity
+        assert main(["identify", str(features), "-o", str(out)]) == EXIT_DOMAIN
+        assert f"{key} must be finite, not {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_snr_record_identifies(self, tmp_path):
+        # extract_features writes snr_db -inf for a zero SNR
+        features, out = tmp_path / "features.json", tmp_path / "candidates.json"
+        write_document(features, {**FEATURES, "snr_db": -math.inf})
+        assert main(["identify", str(features), "-o", str(out)]) == EXIT_OK
+
     def test_store_whose_materials_is_not_an_array_exits_format(self, tmp_path):
         features, store = tmp_path / "features.json", tmp_path / "store.json"
         write_document(features, FEATURES)
@@ -881,7 +944,7 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "phasors, message",
         [
-            ([], "phase phasors must be a non-empty 1-D array"),
+            ([], "need one phase phasor per antenna"),
             ({}, "phase_phasors_re_im is {}, not an array"),
         ],
         ids=["array", "object"],
@@ -904,7 +967,7 @@ class TestPipeline:
         scene = _write_scene(tmp_path, config, fixture_position, 2.87)
         code, out = self._run(tmp_path, config, str(path), provider_path, scene, "a5_cup")
         assert code == EXIT_CALIBRATION
-        assert "calibration scalars must be finite and positive" in capsys.readouterr().err
+        assert "noise power must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_cube_file_exits_io(self, tmp_path, profile_path, provider_path, capsys):
@@ -929,6 +992,39 @@ class TestPipeline:
         assert exit_info.value.code == 2  # a usage error, before any file is read
         err = capsys.readouterr().err
         assert "--cube" in err and "--scene" in err
+
+
+class TestVersion1Documents:
+    """A profile and a feature record written before the sphere became the
+    phase reference only, when the profile held the sphere's RCS, range and
+    SNR and the record an RCS and power reflection in the sphere's m^2 scale."""
+
+    V1 = DATA_DIR / "v1"
+
+    @pytest.mark.parametrize("command", ["extract", "pipeline"])
+    def test_profile_must_be_calibrated_again(
+        self, tmp_path, fixture_position, frame_factory, provider_path, capsys, command
+    ):
+        # its plate reference is in the sphere's unit, which no profile holds now
+        cube_path, out = tmp_path / "plate.rcub", tmp_path / "out.json"
+        write_cube(cube_path, frame_factory([make_plate(fixture_position, 4.0)], seed=61))
+        argv = [command, "--profile", str(self.V1 / "profile.json"), "--gate", "0.1", "0.6",
+                "-o", str(out)]
+        if command == "extract":
+            argv.insert(1, str(cube_path))
+        else:
+            argv += ["--cube", str(cube_path), "--provider", provider_path, "--image", "a5_cup"]
+        assert main(argv) == EXIT_CALIBRATION
+        assert "calibration profile version 1 is not 2; run `radmat calibrate` again" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_feature_record_identifies_as_it_did(self, tmp_path):
+        # candidates.json is what `radmat identify` wrote for the record then
+        out = tmp_path / "candidates.json"
+        assert main(["identify", str(self.V1 / "features.json"), "-o", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (self.V1 / "candidates.json").read_bytes()
 
 
 class TestHelp:
@@ -999,8 +1095,8 @@ class TestSurface:
     # the keys each user-supplied document may carry, retired keys included
     DOCUMENT_KEYS = {
         "calibration_profile": {
-            "kind", "version", "sphere_rcs_m2", "sphere_range_m", "sphere_snr_linear",
-            "phase_phasors_re_im", "noise_power_w", "metal_plate_rho", "system_constant_k",
+            "kind", "version", "chirp", "array", "phase_phasors_re_im", "noise_power_w",
+            "plate_reflectivity",
         },
         "radar_context": {
             "kind", "snr_linear", "distance_m", "max_distance_m", "incidence_angle_rad",
@@ -1037,8 +1133,9 @@ class TestSurface:
             CalibrationProfile, RadarContext, VisualContext, EmFeatureVector, ProviderConfig,
         )
         for reader in readers:
+            # the current profile version, which the profile checks before its keys
             with pytest.raises(RadmatError):
-                reader.from_document({})
+                reader.from_document({"version": 2})
         # a store entry with an empty epsilon object reaches all three levels
         store, fixtures = tmp_path / "store.json", tmp_path / "fixtures.json"
         write_document(store, {"materials": [{"epsilon": {}}]})

@@ -1,44 +1,58 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radmat import (
-    CalibrationError,
-    DomainError,
-    dielectric_from_fresnel,
-    fresnel_amplitude,
-    reflection_coefficients,
-)
-from radmat.dielectric import R_P_CEILING, EmFeatureVector
-from radmat.pipeline import extract_from_cube
-from conftest import GATE_M, make_plate
+from radmat import CalibrationError, DomainError, dielectric_from_fresnel, fresnel_amplitude
+from radmat.calibration import measure
+from radmat.dielectric import R_P_CEILING, EmFeatureVector, extract_features
+from radmat.pipeline import detect, extract_from_cube
+from conftest import GATE_M, METAL_EPSILON, make_plate, padded_range_bin_m
 
 
-class TestReflectionCoefficients:
-    def test_square_root_of_power_ratio(self, profile):
-        area = 1.7e-3
-        sigma = 0.25 * profile.metal_plate_rho * area
-        rho, r_p = reflection_coefficients(sigma, area, profile)
-        assert rho == pytest.approx(0.25 * profile.metal_plate_rho, rel=1e-12)
-        assert r_p == pytest.approx(0.5, rel=1e-12)
+def _measured(cube, profile):
+    _, ra, det = detect(cube, GATE_M)
+    return measure(det, ra, profile)
 
-    def test_reference_self_consistency_clamps_below_one(self, profile):
-        area = 1.7e-3
-        sigma = profile.metal_plate_rho * area
-        _, r_p = reflection_coefficients(sigma, area, profile)
-        assert 1.0 - 1e-6 < r_p < 1.0
 
-    def test_zero_rcs(self, profile):
-        rho, r_p = reflection_coefficients(0.0, 1e-3, profile)
-        assert rho == 0.0 and r_p == 0.0
+class TestSphereScaleCancels:
+    """The retired radar-equation reference: sigma = sigma_c * (SNR / SNR_c)
+    * (R / R_c)^4, normalized by area and by the plate's, is the oracle.
+    Whatever the sphere's sigma_c, SNR_c and R_c, it gives the r_p that
+    the plate-referenced reflectivity gives."""
 
-    def test_missing_plate_calibration(self, profile):
-        from dataclasses import replace
+    @pytest.fixture(scope="class")
+    def measurements(self, config, fixture_position, frame_factory, profile):
+        plate = _measured(frame_factory([make_plate(fixture_position, METAL_EPSILON)], seed=12), profile)
+        targets = [
+            _measured(frame_factory([make_plate([0.0, 0.0, z], eps)], seed=seed), profile)
+            for z, eps, seed in (
+                (fixture_position[2], 4.0, 51),
+                (12 * padded_range_bin_m(config), 2.0, 52),
+                (21 * padded_range_bin_m(config), 9.0, 53),
+            )
+        ]
+        return plate, targets
 
-        incomplete = replace(profile, metal_plate_rho=None)
-        with pytest.raises(CalibrationError):
-            reflection_coefficients(1e-3, 1e-3, incomplete)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sigma_c=st.floats(1e-3, 1e3),
+        snr_c=st.floats(1e-3, 1e3),
+        range_c=st.floats(1e-3, 1e3),
+    )
+    def test_retired_formula_gives_the_same_r_p(self, measurements, profile, sigma_c, snr_c, range_c):
+        def rho(m):
+            snr, range_m = m.synthesis.enhanced_snr_linear, m.detection.range_m
+            return sigma_c * (snr / snr_c) * (range_m / range_c) ** 4 / m.region.area_m2
+
+        plate, targets = measurements
+        for target in targets:
+            expected = min(math.sqrt(rho(target) / rho(plate)), R_P_CEILING)
+            r_p = extract_features(target, profile).fresnel_coefficient
+            assert r_p == pytest.approx(expected, rel=1e-14)
 
 
 class TestDielectricFromFresnel:
@@ -110,45 +124,31 @@ class TestExtractFeatures:
         assert features.dielectric_constant >= 25.0
         assert math.isfinite(features.dielectric_constant)
 
-    def test_incomplete_profile_fails_with_stage_label(
-        self, fixture_position, frame_factory, profile, config, geometry
-    ):
-        from dataclasses import replace
-
-        from radmat.calibration import measure
-        from radmat.dielectric import extract_features
+    def test_incomplete_profile_fails_with_stage_label(self, fixture_position, frame_factory, profile):
         from radmat.spectral import detect_target, range_angle, range_doppler
 
-        incomplete = replace(profile, metal_plate_rho=None)
+        incomplete = replace(profile, plate_reflectivity=None)
         cube = frame_factory([make_plate(fixture_position, 4.0)], seed=53)
         rd, ra = range_doppler(cube), range_angle(cube)
         det = detect_target(rd, ra, GATE_M)
-        measurement = measure(det, ra, geometry, config, incomplete)
+        measurement = measure(det, ra, incomplete)
         with pytest.raises(CalibrationError, match="reflection"):
             extract_features(measurement, incomplete)
 
-    def test_rcs_equals_rho_times_area(self, fixture_position, frame_factory, profile):
-        cube = frame_factory([make_plate(fixture_position, 9.0)], seed=54)
-        f = extract_from_cube(cube, profile, GATE_M).features
-        assert f.rcs_m2 == pytest.approx(f.power_reflection * f.prca_area_m2, rel=1e-9)
-
     def test_geometry_independence_of_epsilon(self, fixture_position, frame_factory, profile):
-        # doubling the facet area moves sigma hard but epsilon only mildly
+        # doubling the facet area moves sigma, which is proportional to the
+        # reflectivity times the area, hard but epsilon only mildly
         # (low-permittivity regime, where the inversion compresses power errors)
-        small = extract_from_cube(
-            frame_factory([make_plate(fixture_position, 1.2, area_m2=0.04)], seed=55),
-            profile,
-            GATE_M,
-        ).features
-        big = extract_from_cube(
-            frame_factory([make_plate(fixture_position, 1.2, area_m2=0.08)], seed=55),
-            profile,
-            GATE_M,
-        ).features
-        sigma_change = abs(big.rcs_m2 - small.rcs_m2) / small.rcs_m2
-        eps_change = abs(big.dielectric_constant - small.dielectric_constant) / small.dielectric_constant
+        small, big = (
+            _measured(frame_factory([make_plate(fixture_position, 1.2, area_m2=area)], seed=55), profile)
+            for area in (0.04, 0.08)
+        )
+        sigma_change = (
+            big.reflectivity * big.region.area_m2 / (small.reflectivity * small.region.area_m2) - 1.0
+        )
+        eps_small, eps_big = (extract_features(m, profile).dielectric_constant for m in (small, big))
         assert sigma_change >= 0.5
-        assert eps_change < 0.10
+        assert abs(eps_big - eps_small) / eps_small < 0.10
 
     @pytest.mark.parametrize(
         "azimuth_deg",
@@ -184,16 +184,20 @@ class TestFeatureDocument:
         again = EmFeatureVector.from_document(doc)
         assert again == features
 
-    def test_invariant_enforced(self):
-        with pytest.raises(DomainError):
-            EmFeatureVector(
-                range_m=0.3,
-                velocity_m_s=0.0,
-                angle_rad=0.0,
-                snr_db=30.0,
-                rcs_m2=1.0,
-                power_reflection=0.5,
-                fresnel_coefficient=0.5,
-                dielectric_constant=9.0,
-                prca_area_m2=1.0,  # rcs != rho * area
-            )
+    def test_retired_keys_are_read_and_ignored(self, fixture_position, frame_factory, profile):
+        # records written while the reflectivity carried the sphere's m^2 scale
+        cube = frame_factory([make_plate(fixture_position, 4.0)], seed=56)
+        features = extract_from_cube(cube, profile, GATE_M).features
+        doc = {**features.to_document(), "rcs_m2": 0.0045, "power_reflection": 2.49}
+        assert EmFeatureVector.from_document(doc) == features
+
+    @pytest.mark.parametrize("snr_db, accepted", [(-math.inf, True), (math.inf, False), (math.nan, False)])
+    def test_snr_db_may_be_minus_infinity_only(self, snr_db, accepted):
+        # extract_features writes -inf for a zero SNR
+        fields = dict(range_m=0.3, velocity_m_s=0.0, angle_rad=0.0, fresnel_coefficient=0.25,
+                      dielectric_constant=2.8, prca_area_m2=0.04)
+        if accepted:
+            assert EmFeatureVector(snr_db=snr_db, **fields).snr_linear == 0.0
+        else:
+            with pytest.raises(DomainError, match="snr_db must be finite"):
+                EmFeatureVector(snr_db=snr_db, **fields)

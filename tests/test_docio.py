@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from radmat.calibration import CalibrationProfile
+from radmat.signal_model import ArrayGeometry, ChirpConfig, default_geometry
 from radmat.dielectric import EmFeatureVector
 from radmat.docio import canonical_bytes, check_keys, malformed, read_document, write_document
 from radmat.errors import CalibrationError, DocumentError, DomainError, ProviderError, SceneError
@@ -16,8 +17,19 @@ from radmat.vlm import ProviderConfig, VisualQuery
 
 PROFILE_BYTES = b"""\
 {
+  "array": {
+    "element_count": 3,
+    "spacing_m": 0.00125
+  },
+  "chirp": {
+    "bandwidth_hz": 3960000000.0,
+    "carrier_frequency_hz": 60000000000.0,
+    "chirps_per_frame": 64,
+    "sample_rate_hz": 10000000.0,
+    "samples_per_chirp": 600,
+    "slope_hz_per_s": 66000000000000.0
+  },
   "kind": "calibration_profile",
-  "metal_plate_rho": 0.75,
   "noise_power_w": 0.01,
   "phase_phasors_re_im": [
     [
@@ -33,10 +45,8 @@ PROFILE_BYTES = b"""\
       0.8
     ]
   ],
-  "sphere_range_m": 0.355,
-  "sphere_rcs_m2": 0.003,
-  "sphere_snr_linear": 12500.0,
-  "version": 1
+  "plate_reflectivity": 0.75,
+  "version": 2
 }
 """
 
@@ -72,14 +82,13 @@ SYNTHESIS_BYTES = b"""\
 """
 
 
-def _profile(metal_plate_rho=0.75):
+def _profile(plate_reflectivity=0.75):
     return CalibrationProfile(
-        sphere_rcs_m2=0.003,
-        sphere_range_m=0.355,
-        sphere_snr_linear=12500.0,
+        chirp=ChirpConfig(),
+        array=ArrayGeometry(3, 0.00125),
         phase_phasors=np.array([1.0, 1j, -0.6 + 0.8j]),
         noise_power_w=0.01,
-        metal_plate_rho=metal_plate_rho,
+        plate_reflectivity=plate_reflectivity,
     )
 
 
@@ -121,14 +130,13 @@ def _written_documents():
     return [
         pytest.param(
             # the record that extract_features writes for an SNR <= 0
-            EmFeatureVector(1.0, 0.0, 0.0, -math.inf, 0.5 * 0.25, 0.5, 0.25, 2.8, 0.25),
+            EmFeatureVector(1.0, 0.0, 0.0, -math.inf, 0.25, 2.8, 0.25),
             id="features-snr-minus-infinity",
         ),
         pytest.param(
             CalibrationProfile(
-                sphere_rcs_m2=3.0,
-                sphere_range_m=1.0,
-                sphere_snr_linear=12500.0,
+                chirp=ChirpConfig(samples_per_chirp=64, chirps_per_frame=4),
+                array=ArrayGeometry(3, 0.00125),
                 phase_phasors=np.array([1.0, 1j, -1.0]),
                 noise_power_w=2.0,
             ),
@@ -149,17 +157,18 @@ class TestReadsWhatItWrites:
 
 
 class TestDefaultsAndNulls:
-    def test_null_metal_plate_rho_loads_incomplete_profile(self):
+    def test_null_plate_reflectivity_loads_incomplete_profile(self):
         doc = _profile().to_document()
-        doc["metal_plate_rho"] = None
+        doc["plate_reflectivity"] = None
         profile = CalibrationProfile.from_document(doc)
-        assert profile.metal_plate_rho is None
+        assert profile.plate_reflectivity is None
         assert not profile.is_complete
 
-    def test_retired_system_constant_k_is_read_and_ignored(self):
-        # profiles written before the key was retired carry it; they load unchanged
-        doc = {**_profile().to_document(), "system_constant_k": 2.5e7}
-        assert canonical_bytes(CalibrationProfile.from_document(doc).to_document()) == PROFILE_BYTES
+    def test_array_without_spacing_is_the_default_geometry(self):
+        doc = _profile().to_document()
+        del doc["array"]["spacing_m"]
+        profile = CalibrationProfile.from_document(doc)
+        assert profile.array == default_geometry(profile.chirp, 3)
 
     def test_missing_required_key_raises_callers_error(self):
         doc = _profile().to_document()
@@ -248,7 +257,7 @@ class TestMalformed:
         # an inner reader's own error class is kept, and not prefixed twice
         with pytest.raises(CalibrationError, match="^invalid CalibrationProfile document"):
             with malformed(DocumentError, "scene"):
-                CalibrationProfile.from_document({})
+                CalibrationProfile.from_document({"version": 2})
         with pytest.raises(AttributeError):
             with malformed(DocumentError, "scene"):
                 [].get("seed")

@@ -51,7 +51,7 @@ READS = (
 )
 COUNTS = {"samples_per_chirp", "chirps_per_frame", "element_count", "seed", "timeout_ms"}
 # keys that are read and ignored, so no value of theirs is refused
-IGNORED = {"version", "system_constant_k", "max_distance_m", "measured_epsilon", "max_in_flight"}
+IGNORED = {"max_distance_m", "measured_epsilon", "max_in_flight"}
 
 
 @functools.cache
@@ -119,8 +119,6 @@ def base_documents() -> dict:
             "velocity_m_s": 0.0,
             "angle_rad": 0.0,
             "snr_db": 25.0,
-            "rcs_m2": 0.5 * 0.25,
-            "power_reflection": 0.5,
             "fresnel_coefficient": 0.25,
             "dielectric_constant": 2.8,
             "prca_area_m2": 0.25,

@@ -107,11 +107,12 @@ def cmd_extract(args) -> int:
     if args.debug:
         base = os.path.splitext(args.output)[0]
         full_rd = range_doppler(cube)
-        full_ra = range_angle_at_doppler(full_rd, result.detection.doppler_bin)
+        m = result.measurement
+        full_ra = range_angle_at_doppler(full_rd, m.detection.doppler_bin)
         docio.write_document(f"{base}.rd_map.json", full_rd.to_document())
         docio.write_document(f"{base}.ra_map.json", full_ra.to_document())
-        docio.write_document(f"{base}.synthesis.json", result.synthesis.to_document())
-        docio.write_document(f"{base}.prca.json", result.region.to_document())
+        docio.write_document(f"{base}.synthesis.json", m.synthesis.to_document())
+        docio.write_document(f"{base}.prca.json", m.region.to_document())
     print(
         f"wrote {args.output}: eps_r={result.features.dielectric_constant:.4g} "
         f"snr={result.features.snr_db:.1f} dB"
@@ -150,8 +151,8 @@ def cmd_pipeline(args) -> int:
     if args.debug:
         base = os.path.splitext(args.output)[0]
         docio.write_document(f"{base}.features.json", extraction.features.to_document())
-        docio.write_document(f"{base}.synthesis.json", extraction.synthesis.to_document())
-        docio.write_document(f"{base}.prca.json", extraction.region.to_document())
+        docio.write_document(f"{base}.synthesis.json", extraction.measurement.synthesis.to_document())
+        docio.write_document(f"{base}.prca.json", extraction.measurement.region.to_document())
     print(f"wrote {args.output}: {outcome.decision.material} ({outcome.decision.mode})")
     return EXIT_OK
 

@@ -27,7 +27,6 @@ scene document, whose values `docio.typed` reads, DocumentError.
 
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -68,23 +67,27 @@ def write_cube(path, cube: RadarCube) -> None:
 
 
 def read_cube(path) -> RadarCube:
-    raw = Path(path).read_bytes()
-    if len(raw) < HEADER_SIZE:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, n_fast, n_chirp, n_ant, f0, bw, slope, fs, spacing = _HEADER.unpack(
-        raw[: _HEADER.size]
-    )
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = HEADER_SIZE + n_fast * n_chirp * n_ant * 8
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload size {len(raw)} does not match header dimensions")
+    """The cube of a file; its header is checked before its payload is read."""
+    # a buffer of the header's size holds no payload, so the payload is read in one
+    # piece rather than copied once more to join a buffered part
+    with open(path, "rb", buffering=HEADER_SIZE) as file:
+        header = file.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, n_fast, n_chirp, n_ant, f0, bw, slope, fs, spacing = _HEADER.unpack(
+            header[: _HEADER.size]
+        )
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        payload = file.read()
+    if len(payload) != n_fast * n_chirp * n_ant * 8:
+        raise FormatError(f"{path}: payload size {len(payload)} does not match header dimensions")
     with malformed(FormatError, f"{path}: invalid header values"):
         config = ChirpConfig(f0, bw, slope, fs, n_fast, n_chirp)
         geometry = ArrayGeometry(n_ant, spacing)
-    samples = np.frombuffer(raw, dtype="<c8", offset=HEADER_SIZE).reshape(n_ant, n_chirp, n_fast)
+    samples = np.frombuffer(payload, dtype="<c8").reshape(n_ant, n_chirp, n_fast)
     with malformed(FormatError, f"{path}: invalid payload"):
         return RadarCube(samples, config, geometry)  # widened to complex128 in one copy
 

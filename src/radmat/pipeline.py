@@ -6,27 +6,23 @@ library users and tests can drive the identical chain.
 
 from dataclasses import dataclass, replace
 
-from .calibration import CalibrationProfile, calibrate_plate, calibrate_sphere, measure
+from .calibration import CalibrationProfile, Measurement, calibrate_plate, calibrate_sphere, measure
 from .dielectric import EmFeatureVector, extract_features
 from .errors import CalibrationError
 from .fusion import FusionDecision, RadarContext, VisualContext, decide
 from .knowledge import MaterialStore, RadarCandidateSet, match, prune_visual
-from .prca import PrcaRegion
 from .signal_model import RadarCube
 from .spectral import (
     RangeAngleMap, RangeDopplerMap, TargetDetection, detect_target, gate_peak,
     range_angle_at_doppler, range_doppler,
 )
-from .synthesis import SynthesisResult
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """The features of one frame with the detection, synthesis and region behind them."""
+    """The features of one frame with the measurement they were extracted from."""
     features: EmFeatureVector
-    detection: TargetDetection
-    synthesis: SynthesisResult
-    region: PrcaRegion
+    measurement: Measurement
 
 
 def detect(cube: RadarCube, gate_m) -> tuple[RangeDopplerMap, RangeAngleMap, TargetDetection]:
@@ -63,8 +59,7 @@ def extract_from_cube(cube: RadarCube, profile: CalibrationProfile, gate_m) -> E
     profile.check_radar(cube.config, cube.geometry)
     _, ra_map, detection = detect(cube, gate_m)
     m = measure(detection, ra_map, profile)
-    features = extract_features(m, profile)
-    return ExtractionResult(features, detection, m.synthesis, m.region)
+    return ExtractionResult(extract_features(m, profile), m)
 
 
 @dataclass(frozen=True)

@@ -234,13 +234,16 @@ def synthesize_frame(
     phases.  Back-facing facets contribute nothing.  Deterministic for a
     fixed seed.
 
-    The [antenna, chirp, fast] cube is the only cube-sized allocation.
-    Antenna plane a is built in place: from zero, add each facing target's
-    [chirp, fast] plane times its phasor at a, in scene order.  The noise
-    is drawn in [fast, chirp, antenna] order, real parts first, in blocks
-    of fast-time rows that are added through a transposed view.  The
-    bytes, signed zeros included, equal those of the construction in
-    [fast, chirp, antenna] order, transposed.
+    The [antenna, chirp, fast] cube is the only cube-sized allocation.  It
+    is built target by target, so one [chirp, fast] plane is alive at a
+    time: each facing target's plane is made once, and its product with the
+    target's phasor at antenna a is added into antenna plane a, for every a.
+    Each sample still gets its targets' terms added from zero in scene
+    order, as a whole-scene construction adds them, so its bytes are the
+    same.  The noise is drawn in [fast, chirp, antenna] order, real parts
+    first, in blocks of fast-time rows that are added through a transposed
+    view.  The bytes, signed zeros included, equal those of the
+    construction in [fast, chirp, antenna] order, transposed.
     """
     if not (math.isfinite(noise_power_w) and noise_power_w >= 0):
         raise DomainError(f"noise power must be finite and >= 0, not {noise_power_w}")
@@ -252,7 +255,8 @@ def synthesize_frame(
     lam = config.wavelength_m
     fast_idx = np.arange(n_fast)
     chirp_idx = np.arange(n_chirp)
-    planes = []  # ([chirp, fast] plane, antenna phasors) of each facing target
+    cube = np.zeros((n_ant, n_chirp, n_fast), dtype=np.complex128)
+    product = np.empty((n_chirp, n_fast), dtype=np.complex128)
 
     for index, target in enumerate(scene):
         name = target.label or f"target {index}"
@@ -287,12 +291,8 @@ def synthesize_frame(
         )
         dists = np.linalg.norm(positions - v, axis=1)
         ant = np.exp(-4j * np.pi * dists / lam)
-        planes.append((amplitude * fast[None, :] * slow[:, None], ant))
-
-    cube = np.zeros((n_ant, n_chirp, n_fast), dtype=np.complex128)
-    product = np.empty((n_chirp, n_fast), dtype=np.complex128)
-    for a in range(n_ant):
-        for plane, ant in planes:
+        plane = amplitude * fast[None, :] * slow[:, None]
+        for a in range(n_ant):
             np.multiply(plane, ant[a], out=product)
             cube[a] += product
 

@@ -100,12 +100,13 @@ def test_out_of_gate_reflector_does_not_take_over_prca(
     assert global_peak_range_m > GATE_M[1], "clutter must outshine the gated board"
     eps = result.features.dielectric_constant
     assert abs(eps - 4.0) / 4.0 < 0.10
-    detected = (result.detection.range_bin, result.detection.angle_bin)
-    assert result.region.peak_index == detected
+    m = result.measurement
+    detected = (m.detection.range_bin, m.detection.angle_bin)
+    assert m.region.peak_index == detected
     _report(
         "2b",
         "out-of-gate clutter",
-        f"eps {eps:.3f}, region seeded at {detected}, {len(result.region.cell_indices)} cells",
+        f"eps {eps:.3f}, region seeded at {detected}, {len(m.region.cell_indices)} cells",
     )
 
 

@@ -209,7 +209,7 @@ class TestOneRangeTransform:
         )
         cube = frame_factory([mover, reflector], seed=7)
         result = extract_from_cube(cube, profile, GATE_M)
-        assert result.detection.doppler_bin != range_doppler(cube, GATE_M).zero_doppler_bin
+        assert result.measurement.detection.doppler_bin != range_doppler(cube, GATE_M).zero_doppler_bin
         grid_step = DEFAULT_ANGLE_GRID_RAD[1] - DEFAULT_ANGLE_GRID_RAD[0]
         assert abs(result.features.angle_rad) <= grid_step
         assert abs(result.features.dielectric_constant - 5.1) / 5.1 < 0.10

@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +125,35 @@ def test_corrupt_magic_rejected(tmp_path, sample_cube):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="magic"):
         read_cube(path)
+
+
+def test_bad_magic_refused_before_the_payload_is_read(tmp_path):
+    path = tmp_path / "large.rcub"
+    with open(path, "wb") as file:
+        file.write(b"XXXX")
+        file.truncate(16 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="magic"):
+            read_cube(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cube_read_from_a_pipe(tmp_path, sample_cube):
+    path, pipe = tmp_path / "frame.rcub", tmp_path / "frame.pipe"
+    write_cube(path, sample_cube)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        cube = read_cube(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert cube.samples.tobytes() == read_cube(path).samples.tobytes()
 
 
 def test_truncated_payload_rejected(tmp_path, sample_cube):

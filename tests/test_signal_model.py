@@ -254,6 +254,11 @@ REFERENCE_SCENE = [
     ),
 ]
 
+# a 256x128x12 frame, the `scene` benchmark workload's shape, and five plates facing it
+SCENE_CONFIG = ChirpConfig(samples_per_chirp=256, chirps_per_frame=128)
+SCENE_GEOMETRY = default_geometry(SCENE_CONFIG, element_count=12)
+FIVE_FACING = [_plate([0.03 * k - 0.06, 0.0, 0.2 + 0.07 * k], 2.0 + k) for k in range(5)]
+
 
 class TestAntennaMajorStorage:
     def test_shapes_cover_whole_partial_and_single_row_noise_blocks(self):
@@ -288,18 +293,27 @@ class TestAntennaMajorStorage:
         assert cube.samples.tobytes() == reference.transpose(2, 1, 0).tobytes()
 
     def test_only_cube_sized_allocation_is_the_cube(self):
-        config = ChirpConfig(samples_per_chirp=256, chirps_per_frame=128)
-        geometry = default_geometry(config, element_count=12)
-        scene = [
-            _plate([0.03 * k - 0.06, 0.0, 0.2 + 0.07 * k], 2.0 + k) for k in range(5)
-        ]
         tracemalloc.start()
         try:
-            cube = synthesize_frame(scene, config, geometry, 1e-2, 3)
+            cube = synthesize_frame(FIVE_FACING, SCENE_CONFIG, SCENE_GEOMETRY, 1e-2, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * cube.samples.nbytes
+
+    def test_one_target_plane_alive_at_a_time(self):
+        synthesize_frame(FIVE_FACING, SCENE_CONFIG, SCENE_GEOMETRY, 1e-2, 3)  # warm-up
+        peaks = []
+        tracemalloc.start()
+        try:
+            for scene in (FIVE_FACING[:1], FIVE_FACING):
+                tracemalloc.reset_peak()
+                synthesize_frame(scene, SCENE_CONFIG, SCENE_GEOMETRY, 1e-2, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        plane_bytes = SCENE_CONFIG.chirps_per_frame * SCENE_CONFIG.samples_per_chirp * 16
+        assert peaks[1] - peaks[0] < plane_bytes
 
     def test_c_ordered_samples_copied_once_into_antenna_major(self, config, geometry):
         shape = (config.samples_per_chirp, config.chirps_per_frame, geometry.element_count)

@@ -26,6 +26,7 @@ scene document, whose values `docio.typed` reads, DocumentError.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -68,8 +69,7 @@ def write_cube(path, cube: RadarCube) -> None:
 
 def read_cube(path) -> RadarCube:
     """The cube of a file; its header is checked before its payload is read."""
-    # a buffer of the header's size holds no payload, so the payload is read in one
-    # piece rather than copied once more to join a buffered part
+    # a header-sized buffer holds no payload, so no payload byte is copied out of it
     with open(path, "rb", buffering=HEADER_SIZE) as file:
         header = file.read(HEADER_SIZE)
         if len(header) < HEADER_SIZE:
@@ -81,8 +81,14 @@ def read_cube(path) -> RadarCube:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = file.read()
-    if len(payload) != n_fast * n_chirp * n_ant * 8:
+        size = n_fast * n_chirp * n_ant * 8
+        # at most one byte past the payload, in pieces no larger than what the file holds
+        # or 1 MiB (a pipe's size is 0); b"" + the first piece is that piece, not a copy
+        piece = max(os.fstat(file.fileno()).st_size - HEADER_SIZE, 1 << 20) + 1
+        payload = b""
+        while len(payload) <= size and (more := file.read(min(piece, size + 1 - len(payload)))):
+            payload += more
+    if len(payload) != size:
         raise FormatError(f"{path}: payload size {len(payload)} does not match header dimensions")
     with malformed(FormatError, f"{path}: invalid header values"):
         config = ChirpConfig(f0, bw, slope, fs, n_fast, n_chirp)

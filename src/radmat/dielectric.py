@@ -79,9 +79,8 @@ def dielectric_from_fresnel(r_p: float, incidence_angle_rad: float) -> float:
 
     theta = incidence_angle_rad
     q = ((1.0 + r_p) / (1.0 - r_p)) ** 2
+    # at least 0: (r_p - 1) / (r_p + 1) rounds into [-1, 0) and a sine into [-1, 1]
     discriminant = 1.0 - (math.sin(2.0 * theta) * (r_p - 1.0) / (r_p + 1.0)) ** 2
-    if discriminant < 0.0:
-        raise DomainError("no real dielectric constant for this (r_p, angle)")
     # the plus root is at least q >= 1, so only rounding can take it below 1
     eps = q * (1.0 + math.sqrt(discriminant)) / (2.0 * math.cos(theta) ** 2)
     return max(eps, 1.0)

@@ -116,28 +116,30 @@ def _gate_rows(gate_m, range_bin_m: float, range_bins: int) -> tuple[int, int]:
 
 
 def median(values: np.ndarray) -> float:
-    """`np.median` of all of `values` (non-empty), to the byte, without `numpy.ma`.
+    """`np.median` of all of `values` (non-empty, no NaN), to the byte, without `numpy.ma`.
 
     The first `np.median` of a process imports all of `numpy.ma` for its
-    NaN check.  Without a NaN, one partition at the upper middle rank
-    places both middle values: the lower one of an even size is the
-    largest value below it.  They are averaged with the same `mean` as in
-    `np.median`, which adds +0.0 to them, so the sign of a zero in a tie
-    does not show.  A NaN sorts last, and `np.median` returns the last
-    value of its partition; with a NaN present this partitions at
-    `np.median`'s ranks, the middle one or two and the last, so that it
-    returns the same NaN.
+    NaN check.  One partition at the upper middle rank places both middle
+    values: the lower one of an even size is the largest value below it.
+    They are averaged with the same `mean` as in `np.median`, which adds
+    +0.0 to them, so the sign of a zero in a tie does not show.
     """
-    size = np.size(values)
-    half = size // 2
-    middle = [half] if size % 2 else [half - 1, half]
+    half, odd = divmod(np.size(values), 2)
     # axis=None partitions one flattened copy, as `np.median` does
-    if np.isnan(values).any():
-        return float(np.partition(values, middle + [-1], axis=None)[-1])
     part = np.partition(values, half, axis=None)
-    if size % 2 == 0:
+    if not odd:
         part[half - 1] = part[:half].max()
-    return float(part[middle[0] : half + 1].mean())
+    return float(part[half - 1 + odd : half + 1].mean())
+
+
+def _map_document(m, kind: str, axis_keys: dict) -> dict:
+    """The document of range map `m`, with the keys of its other axis."""
+    rows = m.magnitudes.shape[0]
+    doc = {"kind": kind, "range_bins": rows, "range_bin_m": m.range_bin_m, **axis_keys}
+    doc["magnitudes_row_major"] = [float(x) for x in m.magnitudes.ravel()]
+    if rows != m.full_range_bins:
+        doc.update(first_range_bin=m.first_range_bin, full_range_bins=m.full_range_bins)
+    return doc
 
 
 @dataclass(frozen=True)
@@ -167,17 +169,8 @@ class RangeDopplerMap:
         return self.magnitudes.shape[1] // 2
 
     def to_document(self) -> dict:
-        doc = {
-            "kind": "range_doppler_map",
-            "range_bins": int(self.magnitudes.shape[0]),
-            "doppler_bins": int(self.magnitudes.shape[1]),
-            "range_bin_m": self.range_bin_m,
-            "velocity_bin_m_s": self.velocity_bin_m_s,
-            "magnitudes_row_major": [float(x) for x in self.magnitudes.ravel()],
-        }
-        if self.magnitudes.shape[0] != self.full_range_bins:
-            doc.update(first_range_bin=self.first_range_bin, full_range_bins=self.full_range_bins)
-        return doc
+        axis = {"doppler_bins": self.magnitudes.shape[1], "velocity_bin_m_s": self.velocity_bin_m_s}
+        return _map_document(self, "range_doppler_map", axis)
 
 
 @dataclass(frozen=True)
@@ -201,17 +194,9 @@ class RangeAngleMap:
             raise DomainError("range-angle magnitudes need one column per grid angle")
 
     def to_document(self) -> dict:
-        doc = {
-            "kind": "range_angle_map",
-            "range_bins": int(self.magnitudes.shape[0]),
-            "angle_bins": int(self.magnitudes.shape[1]),
-            "range_bin_m": self.range_bin_m,
-            "angle_grid_rad": [float(a) for a in self.angle_grid_rad],
-            "magnitudes_row_major": [float(x) for x in self.magnitudes.ravel()],
-        }
-        if self.magnitudes.shape[0] != self.full_range_bins:
-            doc.update(first_range_bin=self.first_range_bin, full_range_bins=self.full_range_bins)
-        return doc
+        grid = self.angle_grid_rad.tolist()
+        axis = {"angle_bins": len(grid), "angle_grid_rad": grid}  # a column per grid angle
+        return _map_document(self, "range_angle_map", axis)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,47 @@ def test_cube_read_from_a_pipe(tmp_path, sample_cube):
     assert cube.samples.tobytes() == read_cube(path).samples.tobytes()
 
 
+def _traced_peak_of_format_error(path) -> int:
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="size"):
+            read_cube(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversized_payload_refused_one_byte_past_its_declared_size(tmp_path, sample_cube):
+    # a valid 600x64x8 header, whose payload is 2,457,600 B, then 16 MiB of zeros
+    path = tmp_path / "large.rcub"
+    write_cube(path, sample_cube)
+    header = path.read_bytes()[:64]
+    with open(path, "wb") as file:
+        file.write(header)
+        file.truncate(64 + (16 << 20))
+    assert _traced_peak_of_format_error(path) < 3 << 20
+
+
+@pytest.mark.parametrize("through_pipe", [False, True], ids=["file", "pipe"])
+def test_declared_size_beyond_the_file_is_never_allocated(tmp_path, valid_cube_bytes, through_pipe):
+    header = bytearray(valid_cube_bytes[:64])
+    struct.pack_into("<III", header, 8, 1 << 20, 1 << 12, 8)  # 256 GiB declared
+    path = tmp_path / "huge.rcub"
+    path.write_bytes(bytes(header) + bytes(1024))
+    if not through_pipe:
+        assert _traced_peak_of_format_error(path) < 2 << 20
+        return
+    pipe = tmp_path / "huge.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        assert _traced_peak_of_format_error(pipe) < 2 << 20
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 def test_truncated_payload_rejected(tmp_path, sample_cube):
     path = tmp_path / "frame.rcub"
     write_cube(path, sample_cube)

@@ -101,6 +101,19 @@ class TestDielectricFromFresnel:
         expected = max(1.0, math.tan(theta) ** 2)
         assert dielectric_from_fresnel(0.0, theta) == pytest.approx(expected, rel=1e-12)
 
+    def test_zero_discriminant_at_45_degrees(self):
+        # sin(2t) is exactly 1 and (r - 1)/(r + 1) exactly -1: the root is sqrt(0)
+        assert math.sin(2.0 * (math.pi / 4)) == 1.0
+        assert dielectric_from_fresnel(0.0, math.pi / 4) == 1.0
+
+    @given(
+        r_p=st.floats(0.0, 1.0, exclude_max=True),
+        theta=st.floats(0.0, math.pi / 2, exclude_max=True),
+    )
+    def test_every_input_of_the_domain_has_a_real_root(self, r_p, theta):
+        # math.sqrt of a negative discriminant would raise ValueError
+        assert 1.0 <= dielectric_from_fresnel(r_p, theta) < math.inf
+
     def test_r_p_at_or_above_one_rejected(self):
         with pytest.raises(DomainError):
             dielectric_from_fresnel(1.0, 0.0)
